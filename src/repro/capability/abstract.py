@@ -319,13 +319,18 @@ class Capability:
         exactly representable.  Requesting bounds outside the current
         bounds is not an authority the capability conveys, so the result's
         tag is cleared (the CHERI-RISC-V v9 behaviour the paper's S5.2
-        notes the ISA is converging on, rather than trapping).
+        notes the ISA is converging on, rather than trapping).  A region
+        reaching past the address space is such a request too: its top
+        is clamped to the end of the address space for encoding.
         """
+        space = 1 << self.arch.address_width
+        in_space = base + length <= space
         fields_, exact = CompressedBounds.encode(
-            self.arch.compression, base, length)
-        monotonic = (self.decoded().contains(base, length)
-                     if length > 0 else
-                     self.decoded().contains(base, 0) or base == self.top)
+            self.arch.compression, base,
+            length if in_space else space - base)
+        monotonic = in_space and (
+            self.decoded().contains(base, length) if length > 0 else
+            self.decoded().contains(base, 0) or base == self.top)
         tag = self.tag and monotonic and not self.is_sealed
         cap = Capability(self.arch, base, fields_, self.perms,
                          self.otype, tag, self.ghost)

@@ -163,10 +163,10 @@ def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
     intr = interp.intrinsics
     if name == "cheri_representable_length":
         return _int_result(SIZE_T, intr.representable_length(
-            _plain_int(args[0], name)), interp)
+            _int_operand(interp, name, args, 0)), interp)
     if name == "cheri_representable_alignment_mask":
         return _int_result(SIZE_T, intr.representable_alignment_mask(
-            _plain_int(args[0], name)), interp)
+            _int_operand(interp, name, args, 0)), interp)
 
     cap, prov, arg_type = _value_capability(interp, args[0])
 
@@ -209,12 +209,21 @@ def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
         "cheri_bounds_set_exact": intr.bounds_set_exact,
     }
     if name in mutators:
-        operand = _plain_int(args[1], name)
+        operand = _int_operand(interp, name, args, 1)
         new_cap = mutators[name](cap, operand)
         return _rebuild(interp, arg_type, new_cap, prov)
     if name == "cheri_tag_clear":
         return _rebuild(interp, arg_type, intr.tag_clear(cap), prov)
     raise CTypeError(f"unhandled intrinsic {name}")
+
+
+def _int_operand(interp: "Interpreter", name: str,
+                 args: list[MemoryValue], index: int) -> int:
+    """Integer operand ``index`` of intrinsic ``name``, converted to its
+    declared parameter type as for a prototyped call (C11 6.5.2.2p7):
+    ``cheri_bounds_set(p, -1)`` requests a ``SIZE_MAX`` length."""
+    param = SIGNATURES[name].params[index]
+    return interp.layout.wrap(param.kind, _plain_int(args[index], name))
 
 
 def _plain_int(value: MemoryValue, name: str) -> int:

@@ -3,12 +3,14 @@
 ``run_fuzz`` is the engine behind ``repro fuzz --seed N --iterations K
 --time-budget S``.  Divergences are aggregated into groups keyed by
 (implementation, cause, outcome-kind pair); the first program seen for
-each group is kept as its representative and minimized by the shrinker
-once the generation loop finishes, so **every reported divergence
-carries a minimized program and a cause tag**.  Findings (unexplained
-divergences, interpreter crashes, frontend rejections) additionally
-flip the report's ``ok`` bit and are written to the regression corpus
-when a corpus directory is given.
+each group is kept as its representative.  Once the generation loop
+finishes, the representatives that some output reads are minimized by
+the shrinker: a finding's (unexplained divergence, interpreter crash,
+frontend rejection) always -- the report prints it and the corpus and
+trace sinks write it -- and a known-cause group's only when
+``--save-known`` writes it to the corpus.  Every group carries its cause
+tag; findings additionally flip the report's ``ok`` bit.  The shrinks
+are independent, so they fan across ``--jobs`` like the evaluations.
 """
 
 from __future__ import annotations
@@ -61,6 +63,22 @@ def program_for(seed: int, index: int,
     return ProgramGenerator(rng, heap_reuse=heap_reuse).generate()
 
 
+def _install_task_config(use_cache, evaluator) -> None:
+    """Apply the campaign's cache switch and evaluator in this process.
+
+    Worker processes do not inherit the parent's global switches under
+    spawn, so each task carries them; the serial path applies the same
+    values to the parent.  ``None`` leaves the process default alone.
+    """
+    if use_cache is not None:
+        set_cache_enabled(use_cache)
+    if evaluator is not None:
+        # The oracle runs every target through Implementation.run
+        # internally, so the campaign's evaluator choice is installed
+        # as the process default for the duration of the task.
+        set_default_evaluator(evaluator)
+
+
 def _evaluate_iteration(task):
     """Worker body: generate and classify one iteration's program.
 
@@ -73,18 +91,43 @@ def _evaluate_iteration(task):
         # shipping None instead keeps the per-task pickle payload from
         # carrying the whole implementation registry.
         targets = FUZZ_TARGETS
-    if use_cache is not None:
-        # Worker processes apply the campaign's cache switch locally
-        # (the parent's global switch does not travel under spawn).
-        set_cache_enabled(use_cache)
-    if evaluator is not None:
-        # Same per-worker application as the cache switch: the oracle
-        # runs every target through Implementation.run internally, so
-        # the campaign's evaluator choice is installed as the worker's
-        # process default for the duration of the task.
-        set_default_evaluator(evaluator)
+    _install_task_config(use_cache, evaluator)
     program = program_for(seed, index, heap_reuse)
     return program, evaluate_program(program, targets, budget=budget)
+
+
+def _minimize_group(task):
+    """Worker body: shrink one group's representative.
+
+    Returns the minimized source and every target's outcome on it.  A
+    pure function of the task tuple, shipped like
+    :func:`_evaluate_iteration`; ``explain`` turns on the
+    same-explaining-event shrink mode (:func:`_preserves_group`).
+    """
+    (key, example, targets, budget, shrink_budget, explain,
+     use_cache, evaluator) = task
+    if targets is None:
+        targets = FUZZ_TARGETS
+    _install_task_config(use_cache, evaluator)
+    signature = None
+    if explain:
+        from repro.fuzz.evidence import reference_signature
+        signature = reference_signature(example)
+    predicate = _preserves_group(key, targets, signature, budget)
+    try:
+        minimized = shrink(example, predicate, max_evals=shrink_budget)
+    except ValueError:
+        # The representative stopped reproducing under the
+        # single-target subset (e.g. a crash consumed the example);
+        # fall back to the unminimized program.
+        minimized = example
+    return _as_minimized(minimized, targets, budget)
+
+
+def _as_minimized(program: FuzzProgram, targets, budget) -> tuple[str, dict]:
+    """The (source, outcomes) pair a group records for ``program``."""
+    return program.render(), dict(evaluate_program(
+        program, targets, attach_evidence=False, budget=budget).outcomes)
 
 
 def _kind_token(described: str) -> str:
@@ -111,6 +154,12 @@ class DivergenceGroup:
     example_divergence: Divergence | None = None
     minimized_source: str | None = None
     minimized_outcomes: dict = field(default_factory=dict)
+
+    @property
+    def key(self) -> tuple[str, str, str, str]:
+        """The group's identity, as :func:`_group_key` computes it."""
+        return (self.impl_name, self.cause.value, self.reference_kind,
+                self.observed_kind)
 
     @property
     def is_finding(self) -> bool:
@@ -166,11 +215,12 @@ def _reference_label(verdict) -> str:
     return outcome.describe()
 
 
-def _preserves_group(group: DivergenceGroup,
+def _preserves_group(key: tuple[str, str, str, str],
                      targets: tuple[FuzzTarget, ...],
                      signature: tuple | None = None,
                      budget=None):
-    """Predicate: does a candidate still exhibit this group's failure?
+    """Predicate: does a candidate still exhibit the failure of the
+    group keyed ``key`` (see :attr:`DivergenceGroup.key`)?
 
     With ``signature`` set, the candidate must additionally preserve
     the reference trace's explaining signature -- the "same explaining
@@ -178,15 +228,12 @@ def _preserves_group(group: DivergenceGroup,
     (e.g. trade a bounds violation for a tag violation) even when the
     observable outcome pair stays the same.
     """
-    subset = tuple(t for t in targets if t.impl.name == group.impl_name)
+    subset = tuple(t for t in targets if t.impl.name == key[0])
 
     def predicate(candidate: FuzzProgram) -> bool:
         verdict = evaluate_program(candidate, subset,
                                    attach_evidence=False, budget=budget)
-        if not any(_group_key(d) == (group.impl_name, group.cause.value,
-                                     group.reference_kind,
-                                     group.observed_kind)
-                   for d in verdict.divergences):
+        if not any(_group_key(d) == key for d in verdict.divergences):
             return False
         if signature is not None:
             from repro.fuzz.evidence import reference_signature
@@ -219,8 +266,13 @@ def run_fuzz(seed: int = 0,
 
     Stops after ``iterations`` programs or ``time_budget`` seconds,
     whichever comes first (defaults to :data:`DEFAULT_ITERATIONS` when
-    neither is given).  Every divergence group's representative program
-    is minimized before the report is returned.
+    neither is given).  Before the report is returned, every finding
+    group's representative is minimized, and so is every known-cause
+    group's when ``corpus_dir`` and ``save_known`` will write it; the
+    other groups keep ``minimized_source=None`` and empty
+    ``minimized_outcomes``.  The shrinks fan across ``jobs`` workers
+    like the evaluations (a killed shrink keeps its unminimized
+    representative).
 
     Each iteration draws from its own derived seed
     (:func:`iteration_seed`), so ``jobs > 1`` fans candidate evaluation
@@ -251,9 +303,9 @@ def run_fuzz(seed: int = 0,
 
     ``evaluator`` (``ast``/``core``/``None`` = process default) selects
     the execution strategy for the whole campaign: it travels inside
-    each task for the workers and is installed as the parent's default
-    for the shrinking/trace phases, so classification, minimisation,
-    and evidence capture all run under the same strategy.
+    each evaluation and shrink task for the workers and is installed as
+    the parent's default for the trace phase, so classification,
+    minimisation, and evidence capture all run under the same strategy.
 
     ``heap_reuse`` switches on the generator's free-then-malloc and
     dangling-read statement shapes (``repro fuzz --allocator ...``);
@@ -334,27 +386,23 @@ def run_fuzz(seed: int = 0,
     report.iterations = index
     report.groups = list(groups.values())
 
-    # Minimize every group's representative (cause-tagged evidence).
-    for group in report.groups:
-        if group.example is None:
-            continue
-        signature = None
-        if preserve_explanation and group.is_finding:
-            from repro.fuzz.evidence import reference_signature
-            signature = reference_signature(group.example)
-        predicate = _preserves_group(group, targets, signature, budget)
-        try:
-            minimized = shrink(group.example, predicate,
-                               max_evals=shrink_budget)
-        except ValueError:
-            # The representative stopped reproducing under the
-            # single-target subset (e.g. a crash consumed the example);
-            # fall back to the unminimized program.
-            minimized = group.example
-        group.minimized_source = minimized.render()
-        group.minimized_outcomes = dict(
-            evaluate_program(minimized, targets, attach_evidence=False,
-                             budget=budget).outcomes)
+    # Minimize the representatives some output reads: every finding's
+    # (printed, and written by the corpus and trace sinks) and, when
+    # --save-known writes them, the known-cause groups'.  Nothing else
+    # reads a minimized program, so no other group is shrunk.
+    save_all = corpus_dir is not None and save_known
+    to_shrink = [g for g in report.groups if g.is_finding or save_all]
+    tasks = [(g.key, g.example, task_targets, budget, shrink_budget,
+              preserve_explanation and g.is_finding, use_cache, evaluator)
+             for g in to_shrink]
+    for group, item in zip(to_shrink, parallel_map(
+            _minimize_group, tasks, jobs=jobs, task_timeout=task_timeout,
+            fault_plan=fault_plan, bus=bus)):
+        if isinstance(item, TaskFailure):
+            # The shrink's worker died twice: keep the unminimized
+            # representative, as when it stops reproducing.
+            item = _as_minimized(group.example, targets, budget)
+        group.minimized_source, group.minimized_outcomes = item
 
     if trace_dir is not None:
         import json as _json
@@ -363,8 +411,6 @@ def run_fuzz(seed: int = 0,
         from repro.fuzz.evidence import capture_trace
         directory = pathlib.Path(trace_dir)
         for group in report.findings:
-            if group.minimized_source is None:
-                continue
             _outcome, recorder = capture_trace(group.minimized_source)
             stem = f"{group.impl_name}-{group.cause.value}".replace(
                 ":", "_").replace("/", "_")
@@ -380,8 +426,7 @@ def run_fuzz(seed: int = 0,
     if corpus_dir is not None:
         from repro.fuzz.evidence import reference_signature
         for group in report.sorted_groups():
-            if not (group.is_finding or save_known):
-                continue
+            # Exactly the groups shrunk above carry a minimized program.
             if group.minimized_source is None:
                 continue
             explaining = reference_signature(group.minimized_source)

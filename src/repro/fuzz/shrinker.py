@@ -1,12 +1,12 @@
 """AST-level minimisation of divergent or crashing fuzz programs.
 
 Classic greedy delta debugging over the fuzz statement IR: repeatedly
-try to (1) delete whole statements, (2) move integer slots toward zero,
-and (3) shrink the prologue array/heap lengths, keeping a candidate only
-when the caller's predicate still holds (the failure signature is
-preserved).  Runs to a fixpoint or until the evaluation budget is spent.
-All candidate orders are deterministic, so a given (program, predicate)
-pair always shrinks to the same result.
+try to (1) delete whole statements, (2) move integer slots strictly
+toward zero, and (3) shrink the prologue array/heap lengths, keeping a
+candidate only when the caller's predicate still holds (the failure
+signature is preserved).  Runs to a fixpoint or until the evaluation
+budget is spent.  All candidate orders are deterministic, so a given
+(program, predicate) pair always shrinks to the same result.
 """
 
 from __future__ import annotations
@@ -36,10 +36,15 @@ class _Budget:
 
 
 def _slot_candidates(value: int) -> list[int]:
-    """Simpler replacement values to try, most aggressive first."""
+    """Simpler replacement values to try, most aggressive first.
+
+    Every candidate is strictly closer to zero than ``value``, so an
+    accepted replacement always makes progress: a slot can never flip
+    back and forth (0 -> 1 -> 0 ...) until the budget runs out.
+    """
     candidates = []
     for cand in (0, 1, value // 2, value - 1):
-        if cand != value and cand not in candidates:
+        if abs(cand) < abs(value) and cand not in candidates:
             candidates.append(cand)
     return candidates
 

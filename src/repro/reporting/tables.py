@@ -50,8 +50,10 @@ def render_fuzz_summary(report) -> str:
     """Summary of one differential-fuzzing run (``repro fuzz``).
 
     Mirrors the compliance table's shape: per-group divergence counts
-    with their known-cause tags, findings called out explicitly, and
-    each reported divergence backed by its minimized program.
+    with their known-cause tags, and findings called out explicitly,
+    each with its minimized reproducer.  Findings are always minimized;
+    known-cause groups are minimized only when ``--save-known`` writes
+    them, and this summary prints no program for them.
     """
     lines = [f"Differential fuzz: seed {report.seed}, "
              f"{report.iterations} programs, "

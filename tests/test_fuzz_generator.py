@@ -27,7 +27,10 @@ from repro.fuzz import (
     save_case,
     shrink,
 )
+from repro.fuzz import driver
+from repro.fuzz.shrinker import _slot_candidates
 from repro.impls.registry import by_name
+from repro.robust import FaultPlan
 
 N_GENERATOR_SAMPLES = 25
 
@@ -140,6 +143,26 @@ def test_shrinker_respects_its_evaluation_budget():
     assert calls <= 18
 
 
+def test_shrinker_terminates_on_zero_slots_far_below_its_budget():
+    # The predicate holds for every slot value (it only needs all three
+    # statements), so a slot that could move away from zero would flip
+    # 0 <-> 1 until the budget ran out.
+    assert _slot_candidates(0) == []
+    assert all(abs(cand) < 7 for cand in _slot_candidates(-7))
+    calls = 0
+    program = FuzzProgram(arr_len=4, heap_len=4, stmts=tuple(
+        _statement(f"s{i}", "acc += {0};", 0) for i in range(3)))
+
+    def predicate(candidate: FuzzProgram) -> bool:
+        nonlocal calls
+        calls += 1
+        return len(candidate.stmts) == 3
+
+    minimized = shrink(program, predicate, max_evals=200)
+    assert calls < 20
+    assert [s.slots for s in minimized.stmts] == [(0,), (0,), (0,)]
+
+
 def test_corpus_roundtrip(tmp_path):
     program = FuzzProgram(arr_len=2, heap_len=2, stmts=(
         _statement("arith", "acc += a[{0}];", 1),))
@@ -169,6 +192,93 @@ def test_run_fuzz_smoke(tmp_path):
          for g in report.groups})
     for case in load_corpus(tmp_path):
         assert case.replay() == []
+
+
+def _counting_shrink(monkeypatch) -> list:
+    """Wrap the driver's ``shrink`` so each call is recorded."""
+    calls = []
+
+    def counted(program, predicate, max_evals):
+        calls.append(program.render())
+        return shrink(program, predicate, max_evals=max_evals)
+
+    monkeypatch.setattr(driver, "shrink", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sink", ["none", "save-known-alone",
+                                  "corpus-without-save-known"])
+def test_known_groups_are_not_shrunk_without_a_sink(monkeypatch, tmp_path,
+                                                   sink):
+    # Only a corpus directory with --save-known writes known groups.
+    calls = _counting_shrink(monkeypatch)
+    kwargs = {"none": {},
+              "save-known-alone": {"save_known": True},
+              "corpus-without-save-known": {"corpus_dir": tmp_path}}[sink]
+    report = run_fuzz(seed=0, iterations=2, shrink_budget=5, **kwargs)
+    assert report.groups and report.ok
+    assert calls == []
+    for group in report.groups:
+        assert group.minimized_source is None
+        assert group.minimized_outcomes == {}
+    assert report.corpus_paths == []
+
+
+def _crashing_targets():
+    """One target whose implementation always raises: every program it
+    runs is an interpreter-crash finding."""
+    from repro.fuzz.oracle import FuzzTarget
+    from repro.impls import CERBERUS
+
+    class Boom(type(CERBERUS)):
+        def run(self, source, main="main", *, bus=None):
+            raise RuntimeError("boom")
+
+    boom = Boom(**{f: getattr(CERBERUS, f)
+                   for f in CERBERUS.__dataclass_fields__})
+    object.__setattr__(boom, "name", "boom")
+    return (FuzzTarget(boom, CERBERUS),)
+
+
+def test_finding_groups_are_always_minimised(monkeypatch):
+    calls = _counting_shrink(monkeypatch)
+    report = run_fuzz(seed=3, iterations=2, targets=_crashing_targets(),
+                      shrink_budget=5)
+    assert report.findings
+    assert len(calls) == len(report.findings)
+    for group in report.findings:
+        assert group.minimized_source
+        assert group.minimized_outcomes
+        assert len(group.minimized_source) < len(group.example.render())
+
+
+def test_killed_shrink_task_keeps_the_unminimised_representative(tmp_path):
+    # Two iterations are evaluation tasks 0 and 1, so task index 2 is
+    # reached only by the shrink phase, where it is the third group.
+    plan = FaultPlan(kill_task_index=2)
+    report = run_fuzz(seed=0, iterations=2, shrink_budget=5, jobs=2,
+                      corpus_dir=tmp_path, save_known=True,
+                      fault_plan=plan)
+    assert report.quarantined == [] and len(report.groups) > 3
+    victim = report.groups[2]
+    assert victim.minimized_source == victim.example.render()
+    assert victim.minimized_outcomes
+    others = report.groups[:2] + report.groups[3:]
+    assert all(g.minimized_source != g.example.render() for g in others)
+
+
+def test_killed_once_shrink_task_is_retried_to_the_serial_result(tmp_path):
+    def minimised(jobs, fault_plan=None):
+        report = run_fuzz(seed=0, iterations=2, shrink_budget=5,
+                          jobs=jobs, corpus_dir=tmp_path / str(jobs),
+                          save_known=True, fault_plan=fault_plan)
+        return [(g.minimized_source, g.minimized_outcomes)
+                for g in report.groups]
+
+    plan = FaultPlan(kill_task_index=2,
+                     once_token=str(tmp_path / "latch"))
+    assert minimised(2, plan) == minimised(1)
+    assert (tmp_path / "latch").exists()
 
 
 def test_fuzz_cli_smoke(capsys):

@@ -89,3 +89,24 @@ def test_oracle_generator_programs_never_crash():
     for _ in range(60):
         outcome = CERBERUS.run(gen.generate())
         assert isinstance(outcome, Outcome)
+
+
+@pytest.mark.parametrize("intrinsic", ["cheri_bounds_set",
+                                       "cheri_bounds_set_exact"])
+@pytest.mark.parametrize("impl_name", ["cerberus", "clang-morello-O0",
+                                       "cerberus-cheriot", "cheriot-O0"])
+def test_negative_bounds_length_detags_instead_of_crashing(impl_name,
+                                                          intrinsic):
+    # The length parameter is size_t, so -1 converts to SIZE_MAX
+    # (C11 6.5.2.2p7): a region past the end of the address space,
+    # which no capability grants, so the result is untagged.
+    src = "\n".join([
+        "#include <cheriintrin.h>",
+        "int main(void) {",
+        "  int a[4] = {1, 2, 3, 4};",
+        f"  int *p = {intrinsic}(a, -1);",
+        "  return cheri_tag_get(p);",
+        "}",
+    ])
+    outcome = by_name(impl_name).run(src)
+    assert outcome == Outcome.exited(0)

@@ -330,15 +330,13 @@ class TestFuzzEvidence:
             assert rows and rows[0]["seq"] == 1
 
     def test_preserve_explanation_predicate(self):
-        from repro.fuzz.driver import _preserves_group, DivergenceGroup
+        from repro.fuzz.driver import _preserves_group
         from repro.fuzz.evidence import reference_signature
         from repro.fuzz.generator import ProgramGenerator
         import random
         program = ProgramGenerator(random.Random(0)).generate()
         signature = reference_signature(program)
-        group = DivergenceGroup(impl_name="none", cause=None,
-                                reference_kind="", observed_kind="")
-        predicate = _preserves_group(group, (), signature)
+        predicate = _preserves_group(("none", "", "", ""), (), signature)
         # With no targets the group key never matches: predicate False,
         # but the signature path must not crash on any candidate.
         assert predicate(program) is False

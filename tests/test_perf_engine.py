@@ -380,9 +380,22 @@ class TestParallelEquality:
             ALL_IMPLEMENTATIONS, self.CASES, jobs=2))
         assert serial == parallel
 
-    def test_fuzz_parallel_equals_serial(self):
-        serial = run_fuzz(seed=3, iterations=8, shrink_budget=20, jobs=1)
-        parallel = run_fuzz(seed=3, iterations=8, shrink_budget=20, jobs=2)
+    def test_fuzz_parallel_equals_serial(self, tmp_path):
+        # --save-known makes every group a shrink task, so this pins
+        # the pool's shrinks against the serial ones as well.
+        def campaign(jobs):
+            corpus = tmp_path / f"jobs{jobs}"
+            report = run_fuzz(seed=3, iterations=8, shrink_budget=20,
+                              jobs=jobs, corpus_dir=corpus,
+                              save_known=True)
+            files = {path.relative_to(corpus): path.read_bytes()
+                     for path in sorted(corpus.rglob("*"))
+                     if path.is_file()}
+            return report, files
+
+        serial, serial_files = campaign(1)
+        parallel, parallel_files = campaign(2)
+        assert serial_files and serial_files == parallel_files
         assert serial.iterations == parallel.iterations
         assert serial.reference_counts == parallel.reference_counts
         assert [g.describe() for g in serial.sorted_groups()] == \
