@@ -252,7 +252,7 @@ def bench_evaluators(cases, seed, iterations, shrink_budget, disk_base):
 
     Compliance timings are warm-cache best-of-three: one untimed run
     populates the compile/elaboration/threading caches (and, for the
-    compiled backend, its snapshots and run memo), then three timed
+    compiled backend, its run memo), then three timed
     runs measure the warm run stage.  That isolates the axis under
     test -- evaluator speed in the steady state the suite actually
     runs in -- from compile-stage cost, which the cold-vs-cached

@@ -5,7 +5,7 @@ The repository carries three complete execution strategies for the
 same semantics: the recursive AST walker (:mod:`repro.core.interp`),
 the iterative Core-IR evaluator (:mod:`repro.core.coreeval`), and the
 direct-threaded compiled backend (:mod:`repro.core.compile`, with
-superinstruction fusion and constant folding).  The compiled backend
+superinstruction fusion).  The compiled backend
 is the process default; the walker and the Core evaluator are the
 oracles it is judged against.  This gate is what makes that
 arrangement safe: it renders

@@ -30,7 +30,7 @@ even a nonterminating program ends with a structured
 ``--evaluator {ast,core,compiled}`` selects the execution strategy
 (default: ``compiled``, the direct-threaded closure backend; see
 docs/PERFORMANCE.md) and ``--dump-core`` prints the elaborated listing
--- with fold/fuse annotations under ``compiled`` -- instead of running.
+-- with fuse annotations under ``compiled`` -- instead of running.
 """
 
 from __future__ import annotations
@@ -528,7 +528,7 @@ def _run_main(argv: list[str]) -> int:
         try:
             if (evaluator or default_evaluator()) == "compiled":
                 # Under the compiled evaluator the listing additionally
-                # annotates folded regions and fused pairs.
+                # annotates fused pairs.
                 from repro.core.compile import render_compiled
                 from repro.perf import compile_threaded
                 compiled = compile_threaded(impl, source,

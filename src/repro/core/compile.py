@@ -7,9 +7,9 @@ inner loop is ``k = k(ev, frame)`` -- no per-step dict or array
 indexing (the dispatch arrays of :class:`~repro.core.coreeval
 .CoreEvaluator` are indexed once per op; here only control transfers
 index the table).  Three superinstructions fuse the hot op pairs
-(load+binop, cmp+branch, const+store), member/offset resolution gets a
-per-site inline cache, and pure constant regions are folded at compile
-time.
+(load+binop, cmp+branch, const+store), and member/offset resolution
+gets a per-site inline cache.  Compilation is a pure function of the
+Core program: no implementation, mode, or memory state is consulted.
 
 Semantic ground rules (the whole point of the three-way differential
 gate):
@@ -17,18 +17,11 @@ gate):
 * **Charge identity.**  Every closure charges exactly the steps its
   ops would have charged under the Core loop, *before* running, with
   the same step-budget cut-off message and the same 1024-step deadline
-  poll.  A folded region batch-charges its step count (splitting into
-  single steps whenever a budget or deadline could observe the
-  difference), so ``resource_exhausted`` outcomes are byte-identical.
-* **Folding never erases semantics.**  A region is folded only if it
-  consists of pure integer ops (``push_int``/``binop``/``unary``/
-  ``not`` plus their ``charge`` markers), is evaluated successfully
-  under *both* the abstract machine and hardware mode on scratch
-  evaluators, both modes agree, and the result is a plain
-  provenance-free integer.  Division by zero, signed overflow, shifts
-  past the width, anything capability-carrying -- all fail that trial
-  evaluation and stay unfolded, so UB, traps, and provenance remain
-  observable exactly where the CoreEvaluator raises them.
+  poll, so ``resource_exhausted`` outcomes are byte-identical.
+* **One run prologue.**  Static-storage registration and the globals
+  phase are the inherited :meth:`CoreEvaluator._execute`; this backend
+  only supplies each pushed frame's entry closure
+  (:meth:`CompiledEvaluator._push_frame`).
 * **Traced runs delegate.**  When an event bus is attached the
   evaluator runs the inherited Core dispatch loop over the *same*
   ``CoreProgram``, so every event carries the stable ``function:index``
@@ -36,33 +29,24 @@ gate):
   pays per-event costs that dwarf dispatch, and delegation makes event
   identity structural rather than re-proved per optimisation.
 
-Snapshots: for untraced, fault-free runs the evaluator additionally
-memoises the post-globals-phase machine state per run configuration
-(mode, address map, options...) on the :class:`CompiledProgram`, so
-repeated runs of a cached program skip static-storage registration and
-global initialisation entirely.  The snapshot records its step and
-allocation usage and is bypassed whenever a budget could have observed
-the globals phase differently.
-
-Run memoisation: the logical completion of the snapshot.  A run with
-no event bus, no budget meter, and no fault plan is a *pure* function
-of the compiled program and the run configuration -- programs are
-frozen, the allocator is deterministic, and every observable
-(exit status, stdout, UB, trap, unspecified-ness) lands in the frozen
-:class:`~repro.errors.Outcome`.  The evaluator therefore memoises the
-complete Outcome per ``(entry point, run configuration)`` on the
-:class:`CompiledProgram`: the first run of each configuration executes
-for real (and is what the three-way differential gate checks), repeats
-are served from the memo.  Traced, metered, or fault-injected runs
-never consult or populate it.  This is the dominant term in the
-compliance benchmark's warm-cache speedup; the fuzz axis (fresh
-programs every iteration, no memo hits) is what isolates raw dispatch
-performance -- both are reported in ``BENCH_engine.json``.
+Run memoisation: a run with no event bus, no budget meter, and no fault
+plan is a *pure* function of the compiled program and the run
+configuration -- programs are frozen, the allocator is deterministic,
+and every observable (exit status, stdout, UB, trap, unspecified-ness)
+lands in the frozen :class:`~repro.errors.Outcome`.  The evaluator
+therefore memoises the complete Outcome per ``(entry point, run
+configuration)`` on the :class:`CompiledProgram`: the first run of each
+configuration executes for real (and is what the three-way
+differential gate checks), repeats are served from the memo.  Traced,
+metered, or fault-injected runs never consult or populate it.  This is
+the dominant term in the compliance benchmark's warm-cache speedup; the
+fuzz axis (fresh programs every iteration, no memo hits) is what
+isolates raw dispatch performance -- both are reported in
+``BENCH_engine.json``.
 
 Closures do not pickle; :class:`CompiledProgram` reduces to its
 retained :class:`~repro.core.coreir.CoreProgram` and is recompiled on
-unpickle (without the fold pass, which preserves semantics and charges
-exactly -- folding only batches them).
+unpickle, which yields the same closure tables, plans and slot ids.
 """
 
 from __future__ import annotations
@@ -70,14 +54,12 @@ from __future__ import annotations
 from repro.core.coreeval import CoreEvaluator, CoreFrame
 from repro.core.coreir import (
     BinOp, Charge, CoreFunc, CoreProgram, Halt, InitStore, Invoke, Jump,
-    JumpIfFalse, JumpIfTrue, LoadFrom, LoadIdent, LvArrow, LvDot, NotOp,
-    PushInt, Ret, StaticCheck, StoreValue, SwitchDispatch, UnaryArith,
-    render_func,
+    JumpIfFalse, JumpIfTrue, LoadFrom, LoadIdent, LvArrow, LvDot, PushInt,
+    Ret, StaticCheck, StoreValue, SwitchDispatch, render_func,
 )
 from repro.ctypes.types import Pointer, StructT, UnionT
 from repro.errors import CTypeError, Outcome
-from repro.memory.model import MemoryModel, Mode
-from repro.memory.state import CapMeta
+from repro.memory.model import MemoryModel
 from repro.memory.values import IntegerValue, MVInteger
 
 __all__ = [
@@ -96,9 +78,9 @@ class CompiledFunc:
 
     ``entry`` is the first closure (``None`` for an empty op list);
     ``plan`` and ``slot_ids`` are deterministic descriptions of the
-    slot structure (op / fused pair / folded region per table start),
-    used by tests and ``--dump-core`` -- compiling the same
-    ``CoreFunc`` twice yields identical plans and slot ids.
+    slot structure (op or fused pair per table start), used by tests
+    and ``--dump-core`` -- compiling the same ``CoreFunc`` twice yields
+    identical plans and slot ids.
     """
 
     __slots__ = ("name", "core", "table", "entry", "plan", "slot_ids")
@@ -113,34 +95,24 @@ class CompiledFunc:
 
 
 def _slot_id(fname: str, entry: tuple) -> str:
-    kind, index = entry[0], entry[1]
-    detail = ":".join(str(part) for part in entry[2:])
-    return f"{fname}:{index}:{kind}" + (f":{detail}" if detail else "")
-
-
-class _Snapshot:
-    """Post-globals-phase machine state (see the module docstring)."""
-
-    __slots__ = ("allocations", "iotas", "bytes", "capmeta", "allocator",
-                 "next_alloc_id", "next_iota_id", "functions", "func_ptrs",
-                 "func_by_addr", "globals", "statics", "string_literals",
-                 "steps", "out", "alloc_bytes", "alloc_count")
+    kind, index, detail = entry
+    return f"{fname}:{index}:{kind}:{detail}"
 
 
 def run_config_key(model) -> tuple:
     """Every run-only axis of a :class:`MemoryModel`, as a memo key.
 
     A compiled program is valid across all of these axes (the compile
-    caches are deliberately policy-/mode-/map-independent), so run memos
-    and globals snapshots must key on *every* one of them -- missing one
-    silently aliases outcomes across configurations.  The cache-key
+    caches are deliberately policy-/mode-/map-independent), so the run
+    memo must key on *every* one of them -- missing one silently
+    aliases outcomes across configurations.  The cache-key
     audit (``tests/test_cache_key_audit.py``) cross-checks this tuple
     against :data:`repro.impls.config.RUN_AXES`.
 
     ``type(model)`` matters too: the seeded-fault implementations
     (:mod:`repro.impls.faults`) share every configuration axis with
     their clean base and differ only in the MemoryModel subclass, so a
-    snapshot or memoised outcome must never cross model classes.
+    memoised outcome must never cross model classes.
     """
     return (type(model), model.mode, model.arch.name,
             model.state.allocator.address_map,
@@ -153,12 +125,10 @@ class CompiledProgram:
 
     Retains the :class:`~repro.core.coreir.CoreProgram` (whose ``ast``
     backs static-storage registration, and whose dispatch arrays back
-    traced runs), plus per-run-configuration snapshots of the
-    post-globals machine state.
+    traced runs), plus the pure-run outcome memo.
     """
 
-    __slots__ = ("core", "functions", "globals_init", "snapshots",
-                 "outcomes")
+    __slots__ = ("core", "functions", "globals_init", "outcomes")
 
     def __init__(self, core: CoreProgram,
                  functions: dict[str, CompiledFunc],
@@ -166,8 +136,6 @@ class CompiledProgram:
         self.core = core
         self.functions = functions
         self.globals_init = globals_init
-        #: run-config key -> _Snapshot (process-local, never pickled)
-        self.snapshots: dict = {}
         #: (main, run-config key) -> Outcome for pure runs (no bus, no
         #: meter, no faults); see "Run memoisation" in the module
         #: docstring.  Process-local, never pickled.
@@ -178,10 +146,8 @@ class CompiledProgram:
         return self.core.ast
 
     def __reduce__(self):
-        # Closures (and snapshots full of live state) do not pickle:
-        # reduce to the Core program and recompile on unpickle.  The
-        # recompile runs without the fold pass (no Implementation in
-        # hand), which is charge- and semantics-identical.
+        # Closures do not pickle: reduce to the Core program and
+        # recompile on unpickle.
         return (compile_core, (self.core,))
 
 
@@ -191,8 +157,8 @@ class CompiledProgram:
 
 
 def _jump_targets(ops) -> set[int]:
-    """Every pc that some op can transfer control to.  A fused pair or
-    folded region must never contain one of these in its interior."""
+    """Every pc that some op can transfer control to.  A fused pair
+    must never have one of these as its second op."""
     targets: set[int] = set()
     for op in ops:
         cls = type(op)
@@ -225,153 +191,6 @@ def _pair_kind(op, op2) -> str | None:
     if t1 is PushInt and (t2 is StoreValue or t2 is InitStore):
         return "const_store"
     return None
-
-
-# ---------------------------------------------------------------------------
-# Constant folding (trial evaluation on scratch evaluators)
-# ---------------------------------------------------------------------------
-
-#: Ops a foldable region may consist of.  Everything else -- loads,
-#: stores, casts, pointer arithmetic, calls -- is conservatively
-#: opaque, so no foldable region can touch memory, provenance, or
-#: ghost state.
-_FOLDABLE = (Charge, PushInt, BinOp, UnaryArith, NotOp)
-
-
-class _ScratchFrame:
-    __slots__ = ("stack",)
-
-    def __init__(self, stack) -> None:
-        self.stack = stack
-
-
-def _scratch_pair(core: CoreProgram, impl):
-    """Two scratch evaluators -- abstract machine and hardware mode --
-    for trial evaluation under ``impl``'s compile-relevant axes."""
-    evs = []
-    for mode in (Mode.ABSTRACT, Mode.HARDWARE):
-        model = MemoryModel(impl.arch, mode, impl.address_map,
-                            subobject_bounds=impl.subobject_bounds,
-                            options=impl.options)
-        evs.append(CoreEvaluator(core, model))
-    return tuple(evs)
-
-
-def _trial(ev, op, args):
-    """Run one pure op on a scratch frame; the result only counts if
-    the op succeeds and leaves a single plain provenance-free integer."""
-    frame = _ScratchFrame(list(args))
-    try:
-        op.run(ev, frame)
-    except BaseException:
-        return None
-    if len(frame.stack) != 1:
-        return None
-    result = frame.stack[0]
-    if type(result) is not MVInteger:
-        return None
-    ival = result.ival
-    if ival.cap is not None or ival.num is None or not ival.prov.is_empty:
-        return None
-    return result
-
-
-def _trial_both(scratch, op, args_abs, args_hw):
-    ra = _trial(scratch[0], op, args_abs)
-    if ra is None:
-        return None
-    rh = _trial(scratch[1], op, args_hw)
-    if rh is None or ra != rh:
-        return None
-    return (ra, rh)
-
-
-class _Region:
-    """A candidate constant region [start, end] with its per-mode
-    values (equal by construction when the region survives)."""
-
-    __slots__ = ("start", "end", "vals")
-
-    def __init__(self, start: int, end: int, vals) -> None:
-        self.start = start
-        self.end = end
-        self.vals = vals
-
-
-def _plan_folds(func: CoreFunc, targets: set[int], scratch) -> dict:
-    """Linear symbolic scan of the op list.  The symbolic stack models
-    a *suffix* of the runtime operand stack: regions of known constant
-    value, or ``None`` for opaque entries.  Any op outside the
-    whitelist flushes the stack (committing surviving regions as
-    folds); every jump target is a control merge and clears it.
-    Returns ``{start: (end, charges, MVInteger)}``."""
-    if scratch is None:
-        return {}
-    ops = func.ops
-    folds: dict[int, tuple] = {}
-    stack: list = []
-    run_start = None   # first index of the current contiguous Charge run
-
-    def commit(region) -> None:
-        if region is not None and region.end > region.start:
-            charges = sum(1 for j in range(region.start, region.end + 1)
-                          if ops[j].charge)
-            folds[region.start] = (region.end, charges, region.vals[0])
-
-    def flush() -> None:
-        for entry in stack:
-            commit(entry)
-        del stack[:]
-
-    for i, op in enumerate(ops):
-        if i in targets:
-            flush()
-            run_start = None
-        cls = type(op)
-        if cls is Charge:
-            if run_start is None:
-                run_start = i
-            continue
-        if cls is PushInt:
-            # Absorb the immediately preceding charge run (pre-order
-            # charges of the enclosing pure expression): charges are
-            # no-ops, so their position within the region is free.
-            start = run_start if run_start is not None else i
-            mv = MVInteger(op.ctype, IntegerValue.of_int(op.value))
-            stack.append(_Region(start, i, (mv, mv)))
-            run_start = None
-            continue
-        run_start = None
-        if cls is NotOp or cls is UnaryArith:
-            top = stack.pop() if stack else None
-            if top is not None and top.end == i - 1:
-                vals = _trial_both(scratch, op,
-                                   [top.vals[0]], [top.vals[1]])
-                if vals is not None:
-                    stack.append(_Region(top.start, i, vals))
-                    continue
-            commit(top)
-            stack.append(None)
-            continue
-        if cls is BinOp:
-            rhs = stack.pop() if stack else None
-            lhs = stack.pop() if stack else None
-            if (lhs is not None and rhs is not None
-                    and rhs.end == i - 1 and rhs.start == lhs.end + 1):
-                vals = _trial_both(scratch, op,
-                                   [lhs.vals[0], rhs.vals[0]],
-                                   [lhs.vals[1], rhs.vals[1]])
-                if vals is not None:
-                    stack.append(_Region(lhs.start, i, vals))
-                    continue
-            commit(lhs)
-            commit(rhs)
-            stack.append(None)
-            continue
-        # Opaque op: arbitrary stack effect -- commit and forget.
-        flush()
-    flush()
-    return folds
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +231,6 @@ def _push_int_closure(op, nxt):
         def clos(ev, frame):
             frame.stack.append(mv)
             return nxt
-    return clos
-
-
-def _fold_closure(mv, charges, nxt):
-    def clos(ev, frame):
-        steps = ev.steps + charges
-        if steps <= ev._max_steps and ev._deadline_at is None:
-            ev.steps = steps
-        else:
-            # A budget or deadline could observe the batch: charge
-            # one step at a time, exactly as the unfolded ops would.
-            remaining = charges
-            while remaining:
-                remaining -= 1
-                step = ev.steps + 1
-                ev.steps = step
-                if step > ev._max_steps:
-                    ev._steps_exhausted()
-                if ev._deadline_at is not None and not (step & 1023):
-                    ev.meter.check_deadline(step)
-        frame.stack.append(mv)
-        return nxt
     return clos
 
 
@@ -688,48 +485,36 @@ def _const_store_closure(op1, op2, nxt):
 # ---------------------------------------------------------------------------
 
 
-def _compile_func(func: CoreFunc, scratch) -> CompiledFunc:
+def _compile_func(func: CoreFunc) -> CompiledFunc:
     ops = func.ops
     n = len(ops)
     targets = _jump_targets(ops)
-    folds = _plan_folds(func, targets, scratch)
 
-    # Slot structure: folded region / fused pair / single op per start.
+    # Slot structure: fused pair or single op per start.
     slots: list[tuple] = []
     i = 0
     while i < n:
-        fold = folds.get(i)
-        if fold is not None:
-            slots.append(("fold", i, fold))
-            i = fold[0] + 1
-            continue
         j = i + 1
-        if j < n and j not in targets and j not in folds:
+        if j < n and j not in targets:
             kind = _pair_kind(ops[i], ops[j])
             if kind is not None:
                 slots.append(("fused", i, kind))
                 i += 2
                 continue
-        slots.append(("op", i))
+        slots.append(("op", i, ops[i].name))
         i += 1
 
     # Build closures back-to-front so each slot's successor exists for
     # direct pre-binding; control transfers go through ``table`` (one
     # list index per *taken* branch, none per straight-line op).
     table: list = [None] * n
-    for slot in reversed(slots):
-        kind, start = slot[0], slot[1]
-        if kind == "fold":
-            end, charges, mv = slot[2]
-            nxt = table[end + 1] if end + 1 < n else None
-            table[start] = _fold_closure(mv, charges, nxt)
-        elif kind == "fused":
+    for kind, start, detail in reversed(slots):
+        if kind == "fused":
             nxt = table[start + 2] if start + 2 < n else None
-            pair = slot[2]
-            if pair == "load_binop":
+            if detail == "load_binop":
                 table[start] = _load_binop_closure(
                     ops[start], ops[start + 1], nxt)
-            elif pair == "cmp_branch":
+            elif detail == "cmp_branch":
                 table[start] = _cmp_branch_closure(
                     ops[start], ops[start + 1], nxt, table)
             else:
@@ -738,42 +523,21 @@ def _compile_func(func: CoreFunc, scratch) -> CompiledFunc:
         else:
             nxt = table[start + 1] if start + 1 < n else None
             table[start] = _op_closure(ops[start], start, nxt, table)
-
-    plan = []
-    for slot in slots:
-        kind, start = slot[0], slot[1]
-        if kind == "fold":
-            end, charges, mv = slot[2]
-            plan.append(("fold", start, end, charges,
-                         f"{mv.ival.value()} : {mv.ctype}"))
-        elif kind == "fused":
-            plan.append(("fused", start, slot[2]))
-        else:
-            plan.append(("op", start, ops[start].name))
-    return CompiledFunc(func.name, func, table, tuple(plan))
+    return CompiledFunc(func.name, func, table, tuple(slots))
 
 
-def compile_core(program: CoreProgram, impl=None) -> CompiledProgram:
-    """Lower ``program`` into direct-threaded closure tables.
-
-    ``impl`` (an :class:`~repro.impls.config.Implementation`) enables
-    the constant-folding pass, which trial-evaluates candidate regions
-    under both execution modes of ``impl``'s compile axes; ``None``
-    compiles structurally (fuse + thread, no folds) -- used by the
-    unpickle path, where no implementation is in hand.
-    """
-    scratch = _scratch_pair(program, impl) if impl is not None else None
-    functions = {name: _compile_func(func, scratch)
+def compile_core(program: CoreProgram) -> CompiledProgram:
+    """Lower ``program`` into direct-threaded closure tables."""
+    functions = {name: _compile_func(func)
                  for name, func in program.functions.items()}
-    globals_init = _compile_func(program.globals_init, scratch)
+    globals_init = _compile_func(program.globals_init)
     return CompiledProgram(program, functions, globals_init)
 
 
 def render_compiled(compiled: CompiledProgram) -> str:
     """The ``--dump-core`` listing under the compiled evaluator: the
-    Core listing per function plus what the compiler did to it (folded
-    regions with their replacement constant and batched charges, fused
-    pairs).  Deterministic, suitable for golden tests."""
+    Core listing per function plus the pairs the compiler fused.
+    Deterministic, suitable for golden tests."""
     sections = []
     funcs = []
     gi = compiled.globals_init
@@ -782,15 +546,8 @@ def render_compiled(compiled: CompiledProgram) -> str:
     funcs.extend(cf for cf in compiled.functions.values() if cf.core.ops)
     for cf in funcs:
         lines = [render_func(cf.core)]
-        notes = []
-        for entry in cf.plan:
-            if entry[0] == "fold":
-                _, start, end, charges, value = entry
-                notes.append(f"    fold {start}-{end} -> push {value} "
-                             f"({charges} charge(s))")
-            elif entry[0] == "fused":
-                _, start, kind = entry
-                notes.append(f"    fuse {start}+{start + 1} {kind}")
+        notes = [f"    fuse {start}+{start + 1} {kind}"
+                 for slot, start, kind in cf.plan if slot == "fused"]
         if notes:
             lines.append("  compiled:")
             lines.extend(notes)
@@ -828,11 +585,14 @@ class CompiledEvaluator(CoreEvaluator):
             while k is not None:
                 k = k(self, frame)
 
-    def invoke_user(self, fdef, args, varargs) -> None:
-        super().invoke_user(fdef, args, varargs)
+    def _push_frame(self, frame: CoreFrame) -> None:
         if self.bus is None:
-            self.frames[-1].resume = \
-                self.compiled.functions[fdef.name].entry
+            compiled = self.compiled
+            cf = (compiled.globals_init
+                  if frame.func is compiled.core.globals_init
+                  else compiled.functions[frame.name])
+            frame.resume = cf.entry
+        super()._push_frame(frame)
 
     # -- top level ---------------------------------------------------------
 
@@ -848,146 +608,10 @@ class CompiledEvaluator(CoreEvaluator):
         ``steps`` stays 0 and ``out`` stays empty.
         """
         if self.bus is None and self.meter is None:
-            key = (main, self._snapshot_key())
+            key = (main, run_config_key(self.model))
             outcome = self.compiled.outcomes.get(key)
             if outcome is None:
                 outcome = super().run(main)
                 self.compiled.outcomes[key] = outcome
             return outcome
         return super().run(main)
-
-    def _execute(self, main: str) -> Outcome:
-        if self.bus is not None:
-            return super()._execute(main)
-        compiled = self.compiled
-        key = self._snapshot_key()
-        try:
-            snap = compiled.snapshots.get(key)
-            if snap is not None and self._restorable(snap):
-                self._restore(snap)
-            else:
-                self._register_static_storage()
-                frame = CoreFrame("<globals>", self.core.globals_init)
-                frame.resume = compiled.globals_init.entry
-                self.frames.append(frame)
-                self._base_frames = 1
-                self._loop()
-                self._base_frames = 0
-                if snap is None and self._capturable():
-                    compiled.snapshots[key] = self._capture()
-            fdef = self.functions.get(main)
-            if fdef is None or fdef.body is None:
-                return Outcome.frontend_error(f"no function {main!r}")
-            self.invoke_user(fdef, [], None)
-            self._loop()
-        except BaseException:
-            self._unwind_all()
-            raise
-        return self._main_outcome(self._result)
-
-    # -- snapshots ---------------------------------------------------------
-
-    def _snapshot_key(self) -> tuple:
-        return run_config_key(self.model)
-
-    def _capturable(self) -> bool:
-        # State after a clean globals phase is a pure function of the
-        # program and the run configuration; fault plans are excluded
-        # because a plan that did not fire here must still be able to
-        # fire at the same allocation index in a later run.
-        meter = self.meter
-        return meter is None or meter.faults is None
-
-    def _restorable(self, snap: _Snapshot) -> bool:
-        """A governed run may only skip the globals phase when the
-        budget provably could not have observed it: no fault plan, no
-        deadline pressure recorded per-step (the capture already
-        charged deterministically), and every deterministic axis at
-        least as large as the snapshot's usage."""
-        meter = self.meter
-        if meter is None:
-            return snap.steps <= self._max_steps
-        if meter.faults is not None:
-            return False
-        if snap.steps > self._max_steps:
-            return False
-        budget = meter.budget
-        if budget.max_allocations is not None and \
-                snap.alloc_count > budget.max_allocations:
-            return False
-        if budget.max_alloc_bytes is not None and \
-                snap.alloc_bytes > budget.max_alloc_bytes:
-            return False
-        return True
-
-    def _capture(self) -> _Snapshot:
-        state = self.model.state
-        snap = _Snapshot()
-        snap.allocations = {
-            ident: Allocation_clone(alloc)
-            for ident, alloc in state.allocations.items()
-        }
-        snap.iotas = dict(state.iotas)
-        snap.bytes = dict(state.bytes)        # AbsByte is frozen
-        snap.capmeta = {addr: CapMeta(meta.tag, meta.ghost)
-                        for addr, meta in state.capmeta.items()}
-        snap.allocator = state.allocator.snapshot()
-        snap.next_alloc_id = state._next_alloc_id
-        snap.next_iota_id = state._next_iota_id
-        snap.functions = dict(self.functions)
-        snap.func_ptrs = dict(self.func_ptrs)
-        snap.func_by_addr = dict(self.func_by_addr)
-        snap.globals = dict(self.globals)     # Bindings are never mutated
-        snap.statics = dict(self.statics)
-        snap.string_literals = dict(self.string_literals)
-        snap.steps = self.steps
-        snap.out = self.out.getvalue()
-        snap.alloc_count = len(state.allocations)
-        snap.alloc_bytes = sum(a.cap_size
-                               for a in state.allocations.values())
-        return snap
-
-    def _restore(self, snap: _Snapshot) -> None:
-        state = self.model.state
-        state.allocations = {ident: Allocation_clone(alloc)
-                             for ident, alloc in snap.allocations.items()}
-        state.iotas = dict(snap.iotas)
-        state.bytes = dict(snap.bytes)
-        state.capmeta = {addr: CapMeta(meta.tag, meta.ghost)
-                         for addr, meta in snap.capmeta.items()}
-        state.allocator.restore(snap.allocator)
-        state._next_alloc_id = snap.next_alloc_id
-        state._next_iota_id = snap.next_iota_id
-        self.functions.update(snap.functions)
-        self.func_ptrs.update(snap.func_ptrs)
-        self.func_by_addr.update(snap.func_by_addr)
-        self.globals.update(snap.globals)
-        self.statics.update(snap.statics)
-        self.string_literals.update(snap.string_literals)
-        self.steps = snap.steps
-        if snap.out:
-            self.out.write(snap.out)
-        meter = self.meter
-        if meter is not None:
-            meter.allocations = snap.alloc_count
-            meter.alloc_bytes = snap.alloc_bytes
-
-
-def Allocation_clone(alloc):
-    """Field-by-field Allocation copy (``alive``/``exposed`` are
-    mutated at runtime, so snapshot entries must be private)."""
-    from repro.memory.allocation import Allocation
-    new = Allocation.__new__(Allocation)
-    new.ident = alloc.ident
-    new.base = alloc.base
-    new.size = alloc.size
-    new.align = alloc.align
-    new.kind = alloc.kind
-    new.ctype = alloc.ctype
-    new.name = alloc.name
-    new.readonly = alloc.readonly
-    new.alive = alloc.alive
-    new.exposed = alloc.exposed
-    new.cap_base = alloc.cap_base
-    new.cap_size = alloc.cap_size
-    return new

@@ -106,8 +106,7 @@ class CoreEvaluator(Interpreter):
             # globals map, as the walker's empty frame list does).  A
             # function called from a global initialiser starts at call
             # depth 0, exactly as under the walker.
-            self.frames.append(
-                CoreFrame("<globals>", self.core.globals_init))
+            self._push_frame(CoreFrame("<globals>", self.core.globals_init))
             self._base_frames = 1
             self._loop()
             self._base_frames = 0
@@ -120,6 +119,13 @@ class CoreEvaluator(Interpreter):
             self._unwind_all()
             raise
         return self._main_outcome(self._result)
+
+    def _push_frame(self, frame: CoreFrame) -> None:
+        """Make ``frame`` the active frame.  Every frame -- the globals
+        phase's and each user call's -- enters here, so a dispatch
+        strategy (:class:`~repro.core.compile.CompiledEvaluator`) can
+        set its entry point in one place."""
+        self.frames.append(frame)
 
     def _unwind_all(self) -> None:
         """Frame teardown on any raised error, innermost first --
@@ -225,7 +231,7 @@ class CoreEvaluator(Interpreter):
                           mark=self.model.stack_mark())
         # Push before parameter setup so _unwind_all tears down a
         # partially-initialised frame (the walker's finally does too).
-        self.frames.append(frame)
+        self._push_frame(frame)
         for param, arg in zip(fdef.params, args):
             value = self.convert(arg, param.ctype)
             ptr = self.model.allocate_object(

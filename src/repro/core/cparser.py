@@ -69,6 +69,11 @@ class Parser:
         self.typedefs: dict[str, CType] = dict(BUILTIN_TYPEDEFS)
         self.tags: dict[str, StructT] = {}
         self.constants = _limit_constants(layout)
+        #: Enclosing loops / switches of the statement being parsed:
+        #: ``break`` needs either, ``continue`` a loop (C11 6.8.6.2p1,
+        #: 6.8.6.3p1).
+        self.loops = 0
+        self.switches = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -531,11 +536,11 @@ class Parser:
             self.expect("(")
             cond = self.parse_expression()
             self.expect(")")
-            body = self.parse_statement()
+            body = self.parse_loop_body()
             return While(cond=cond, body=body, line=tok.line)
         if tok.is_kw("do"):
             self.next()
-            body = self.parse_statement()
+            body = self.parse_loop_body()
             self.expect("while")
             self.expect("(")
             cond = self.parse_expression()
@@ -554,9 +559,15 @@ class Parser:
         if tok.is_kw("switch"):
             return self.parse_switch()
         if tok.is_kw("break"):
+            if not (self.loops or self.switches):
+                raise CSyntaxError("break statement not within a loop "
+                                   "or switch", tok.line, tok.col)
             self.next(), self.expect(";")
             return Break(line=tok.line)
         if tok.is_kw("continue"):
+            if not self.loops:
+                raise CSyntaxError("continue statement not within a loop",
+                                   tok.line, tok.col)
             self.next(), self.expect(";")
             return Continue(line=tok.line)
         if self.at_declaration():
@@ -584,8 +595,14 @@ class Parser:
         if not self.peek().is_punct(")"):
             step = self.parse_expression()
         self.expect(")")
-        body = self.parse_statement()
+        body = self.parse_loop_body()
         return For(init=init, cond=cond, step=step, body=body, line=tok.line)
+
+    def parse_loop_body(self) -> Stmt:
+        self.loops += 1
+        body = self.parse_statement()
+        self.loops -= 1
+        return body
 
     def parse_switch(self) -> Stmt:
         tok = self.expect("switch")
@@ -595,6 +612,7 @@ class Parser:
         self.expect("{")
         stmts: list[Stmt] = []
         cases: list[SwitchCase] = []
+        self.switches += 1
         while not self.accept("}"):
             if self.peek().is_kw("case"):
                 self.next()
@@ -608,6 +626,7 @@ class Parser:
                 cases.append(SwitchCase(None, len(stmts)))
                 continue
             stmts.append(self.parse_statement())
+        self.switches -= 1
         return Switch(cond=cond, stmts=tuple(stmts), cases=tuple(cases),
                       line=tok.line)
 

@@ -48,9 +48,7 @@ from repro.core.coreir import (
     StoreValue, SwitchDispatch, TypeInfo, UnaryArith, VaArgOp, VaCopy,
     VaStart, finalize_func,
 )
-from repro.core.interp import (
-    BreakSignal, CHAR_CONST, ContinueSignal, _array_of_const,
-)
+from repro.core.interp import CHAR_CONST, _array_of_const
 from repro.ctypes.types import ArrayT, INT, StructT, UnionT, Void
 from repro.errors import CTypeError
 
@@ -183,23 +181,18 @@ class _FuncElaborator:
                 self.emit(Ret("void", None, self.func_name == "main",
                               node.line))
             return
+        # The parser rejects break/continue outside an enclosing loop
+        # or switch (C11 6.8.6.2p1, 6.8.6.3p1), so a target exists.
         if isinstance(node, Break):
-            if not self.loops:
-                # Outside any loop the AST walker's BreakSignal escapes
-                # uncaught; replicate the crash, not new semantics.
-                self.emit(RaiseOp(BreakSignal, (), node.line))
-                return
             ctx = self.loops[-1]
             self._unwind_to(ctx.break_depth, node.line)
             self.jump(Jump, ctx.break_label, node.line)
             return
         if isinstance(node, Continue):
-            for ctx in reversed(self.loops):
-                if ctx.continue_label is not None:
-                    self._unwind_to(ctx.continue_depth, node.line)
-                    self.jump(Jump, ctx.continue_label, node.line)
-                    return
-            self.emit(RaiseOp(ContinueSignal, (), node.line))
+            ctx = next(ctx for ctx in reversed(self.loops)
+                       if ctx.continue_label is not None)
+            self._unwind_to(ctx.continue_depth, node.line)
+            self.jump(Jump, ctx.continue_label, node.line)
             return
         self.emit(RaiseOp(
             CTypeError, (f"unhandled statement {type(node).__name__}",),

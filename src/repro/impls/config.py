@@ -27,7 +27,7 @@ COMPILE_AXES = ("arch", "opt_level", "subobject_bounds", "options")
 
 #: Axes that only affect *running* a compiled program: a compiled
 #: program is valid across all of them (compile caches are shared), but
-#: any run memo or state snapshot must key on every one of them
+#: the run memo must key on every one of them
 #: (:func:`repro.core.compile.run_config_key`).
 RUN_AXES = ("mode", "address_map", "revocation", "allocator")
 
@@ -127,7 +127,7 @@ class Implementation:
                 if not isinstance(program, CoreProgram):
                     from repro.core.elaborate import elaborate_program
                     program = elaborate_program(program)
-                program = thread_core(program, self)
+                program = thread_core(program)
             return CompiledEvaluator(program, model).run(main)
         if evaluator == "core":
             if isinstance(program, CompiledProgram):

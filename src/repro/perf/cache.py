@@ -315,7 +315,7 @@ class CompileCache:
             while len(self._threaded) > self.maxsize:
                 self._threaded.popitem(last=False)
             raise
-        compiled = compile_threaded_ir(core, impl)
+        compiled = compile_threaded_ir(core)
         self._threaded[key] = ("ok", compiled)
         while len(self._threaded) > self.maxsize:
             self._threaded.popitem(last=False)
@@ -431,11 +431,11 @@ def compile_threaded(impl, source: str, use_cache: bool | None = None):
     """Compile + elaborate + direct-thread ``source`` for ``impl`` into
     a :class:`~repro.core.compile.CompiledProgram`; ``use_cache=None``
     defers to the process-wide switch.  An uncached compile bypasses
-    every layer (no lookups, no stats, no snapshot sharing)."""
+    every layer (no lookups, no stats, no shared run memo)."""
     if use_cache is None:
         use_cache = _ENABLED
     if not use_cache:
         program = parse_program(source, impl.layout)
         program = optimize_program(program, impl.layout, impl.opt_level)
-        return compile_threaded_ir(elaborate_program(program), impl)
+        return compile_threaded_ir(elaborate_program(program))
     return _GLOBAL_CACHE.threaded(impl, source)

@@ -89,8 +89,8 @@ def test_run_axes_reach_the_run_config_key(axis):
     base = run_config_key(CERBERUS.fresh_model())
     alt = run_config_key(variant(axis).fresh_model())
     assert alt != base, (
-        f"run axis {axis!r} does not reach run_config_key: a snapshot "
-        f"or run memo could be replayed under the wrong configuration")
+        f"run axis {axis!r} does not reach run_config_key: a run memo "
+        f"could be replayed under the wrong configuration")
 
 
 def test_run_config_key_is_stable_for_equal_configurations():

@@ -6,19 +6,19 @@ benchmark's identity checks:
 
 * **Observable identity** -- outcomes, step counts, budget cut-offs,
   and (traced) event streams match the Core evaluator's exactly; the
-  superinstructions and the constant folder only change *how* steps
-  are spent, never how many or what they observe.
+  superinstructions only change *how* steps are spent, never how many
+  or what they observe.
 * **Fusion boundaries** -- a pair whose second op is a jump target is
-  never fused and a folded region never spans a control merge, over
-  every program in the compliance suite, not just hand-picked cases.
+  never fused, over every program in the compliance suite, not just
+  hand-picked cases.
 * **Deterministic compilation** -- the same Core function compiles to
-  the same slot plan and slot ids every time, so ``--dump-core``
-  listings and differential failures are reproducible.
-* **Folding never erases semantics** -- division by zero, signed
-  overflow, capability-carrying arithmetic, and unspecified reads all
-  refuse to fold and reach the same UB/trap outcome (with the same
-  explainer chain) as the unoptimised evaluators; what *does* fold is
-  pinned by a golden ``--dump-core`` listing.
+  the same slot plan and slot ids every time, also across a pickle
+  round trip, so ``--dump-core`` listings and differential failures
+  are reproducible; the listing is pinned by a golden.
+* **Constant arithmetic keeps its semantics** -- division by zero,
+  signed overflow, capability-carrying arithmetic, and unspecified
+  reads reach the same UB/trap outcome (with the same explainer chain)
+  as the Core evaluator.
 * **The run memo is invisible** -- pure repeat runs are served from
   the memo, while traced, metered, and fault-injected runs always
   execute for real.
@@ -38,7 +38,7 @@ from repro.core.coreir import Jump, JumpIfFalse, JumpIfTrue
 from repro.errors import OutcomeKind
 from repro.impls import CERBERUS, by_name
 from repro.obs import EventBus, TraceRecorder
-from repro.perf import compile_program, compile_threaded
+from repro.perf import compile_program
 from repro.robust import Budget
 from repro.testsuite.suite import all_cases
 
@@ -65,10 +65,9 @@ int main(void) {
 
 
 def fresh_compiled(source: str, impl=CERBERUS) -> CompiledProgram:
-    """A private CompiledProgram (cold snapshots/memo) with folds on."""
+    """A private CompiledProgram (cold run memo)."""
     return compile_core(
-        elaborate_program(compile_program(impl, source, use_cache=False)),
-        impl)
+        elaborate_program(compile_program(impl, source, use_cache=False)))
 
 
 def evaluator_pair(source: str, impl=CERBERUS):
@@ -86,8 +85,8 @@ class TestObservableIdentity:
 
     def test_step_counts_match_over_the_suite(self):
         # The charge-identity property, over real programs: fused
-        # pairs and folded regions must spend exactly the Core loop's
-        # steps on every suite case the frontend accepts.
+        # pairs must spend exactly the Core loop's steps on every suite
+        # case the frontend accepts.
         checked = 0
         for case in all_cases()[:25]:
             try:
@@ -103,8 +102,7 @@ class TestObservableIdentity:
         assert checked >= 10
 
     def test_budget_cutoffs_identical(self):
-        # A fold batch-charges only when no budget can observe it; at
-        # every cut-off point the resource_exhausted outcome must be
+        # At every cut-off point the resource_exhausted outcome must be
         # byte-identical (same step number in the detail).
         for max_steps in (1, 7, 50, 137):
             budget = Budget(max_steps=max_steps)
@@ -137,7 +135,7 @@ class TestFusionBoundaries:
                 targets.add(op.target)
         return targets
 
-    def test_no_fused_pair_or_fold_spans_a_jump_target(self):
+    def test_no_fused_pair_spans_a_jump_target(self):
         # A branch into the middle of a superinstruction would skip
         # its first half; the planner must break the pair instead.
         # Checked across the whole compliance suite for depth.
@@ -155,11 +153,6 @@ class TestFusionBoundaries:
                         assert entry[1] + 1 not in targets, \
                             (case.name, cf.name, entry)
                         funcs_with_pairs += 1
-                    elif entry[0] == "fold":
-                        _, start, end = entry[0], entry[1], entry[2]
-                        assert not (targets &
-                                    set(range(start + 1, end + 1))), \
-                            (case.name, cf.name, entry)
         assert funcs_with_pairs > 0
 
     def test_loop_back_edge_blocks_fusion(self):
@@ -193,7 +186,7 @@ class TestDeterministicCompilation:
         main = compiled.functions["main"]
         assert all(sid.startswith("main:") for sid in main.slot_ids)
         kinds = {sid.split(":")[2] for sid in main.slot_ids}
-        assert kinds <= {"op", "fused", "fold"}
+        assert kinds <= {"op", "fused"}
 
     def test_render_compiled_is_deterministic(self):
         assert render_compiled(fresh_compiled(FOLDS_AND_NON_FOLDS)) == \
@@ -201,26 +194,8 @@ class TestDeterministicCompilation:
 
 
 class TestConstantFolding:
-    @staticmethod
-    def folded_indices(cf) -> set[int]:
-        covered: set[int] = set()
-        for entry in cf.plan:
-            if entry[0] == "fold":
-                covered.update(range(entry[1], entry[2] + 1))
-        return covered
-
-    @classmethod
-    def binop_stays_unfolded(cls, compiled, op_name: str) -> bool:
-        """True iff every ``op_name`` binop in main survives folding.
-        (Charge+literal prefixes may still fold -- that is harmless --
-        but the operation that would trap/UB must execute.)"""
-        from repro.core.coreir import BinOp
-        main = compiled.functions["main"]
-        covered = cls.folded_indices(main)
-        sites = [i for i, op in enumerate(main.core.ops)
-                 if type(op) is BinOp and op.op == op_name]
-        assert sites, f"no {op_name!r} binop elaborated"
-        return all(i not in covered for i in sites)
+    """Constant arithmetic that must keep its UB, trap, or unspecified
+    outcome under the compiled backend, differentially against Core."""
 
     def assert_same_outcome(self, source: str, kind: OutcomeKind):
         core = CERBERUS.run(source, evaluator="core", use_cache=False)
@@ -231,18 +206,12 @@ class TestConstantFolding:
         return compiled
 
     def test_pure_arithmetic_folds(self):
-        compiled = fresh_compiled(FOLDS_AND_NON_FOLDS)
-        folds = [entry for entry in
-                 compiled.functions["main"].plan if entry[0] == "fold"]
-        assert folds, "2 + 3 * 4 should fold"
-        outcome = CompiledEvaluator(compiled,
-                                    CERBERUS.fresh_model()).run()
-        assert outcome.exit_status == 14 + 2 + 3
+        outcome = self.assert_same_outcome(FOLDS_AND_NON_FOLDS,
+                                           OutcomeKind.EXIT)
+        assert outcome.exit_status == 19  # 14 + 2 + (1 + 2)
 
     def test_division_by_zero_never_folds(self):
         source = "int main(void) { return 1 / 0; }"
-        compiled = fresh_compiled(source)
-        assert self.binop_stays_unfolded(compiled, "/")
         outcome = self.assert_same_outcome(source, OutcomeKind.UNDEFINED)
         assert outcome.ub is not None
 
@@ -251,22 +220,16 @@ class TestConstantFolding:
 #include <limits.h>
 int main(void) { int x = INT_MAX + 1; return x != 0; }
 """
-        compiled = fresh_compiled(source)
-        assert self.binop_stays_unfolded(compiled, "+")
         core = CERBERUS.run(source, evaluator="core", use_cache=False)
         assert core == CERBERUS.run(source, evaluator="compiled",
                                     use_cache=False)
 
     def test_oob_capability_arithmetic_never_folds(self):
-        # Pointer/capability arithmetic is outside the fold whitelist
-        # entirely, so the OOB dereference trap (hardware mode) and UB
-        # (abstract mode) fire exactly as under the Core evaluator.
+        # The OOB dereference trap (hardware mode) and UB (abstract
+        # mode) fire exactly as under the Core evaluator.
         source = "int main(void) { int a[2]; int *p = a + 2;" \
                  " return *p; }"
         for impl in (CERBERUS, by_name("clang-morello-O0")):
-            compiled = compile_core(elaborate_program(
-                compile_program(impl, source, use_cache=False)), impl)
-            assert self.binop_stays_unfolded(compiled, "+")
             core = impl.run(source, evaluator="core", use_cache=False)
             threaded = impl.run(source, evaluator="compiled",
                                 use_cache=False)
@@ -276,8 +239,6 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
 
     def test_unspecified_read_never_folds(self):
         source = "int main(void) { int x; return x & 0; }"
-        compiled = fresh_compiled(source)
-        assert self.binop_stays_unfolded(compiled, "&")
         core = CERBERUS.run(source, evaluator="core", use_cache=False)
         assert core == CERBERUS.run(source, evaluator="compiled",
                                     use_cache=False)
@@ -315,7 +276,7 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
         printed = capsys.readouterr().out
         assert status == 0
         assert "compiled:" in printed
-        assert "fold" in printed
+        assert "fuse" in printed
 
 
 class TestRunMemo:
@@ -372,12 +333,22 @@ class TestRunMemo:
 
 class TestPickleFallback:
     def test_compiled_program_reduces_to_core_and_recompiles(self):
-        compiled = fresh_compiled(LOOP_SUM)
+        # One program has one compiled form: the recompiled clone has
+        # the same plans, slot ids and --dump-core listing.
+        compiled = fresh_compiled(FOLDS_AND_NON_FOLDS)
         CompiledEvaluator(compiled, CERBERUS.fresh_model()).run()
         clone = pickle.loads(pickle.dumps(compiled))
         assert isinstance(clone, CompiledProgram)
         assert clone.core is not compiled.core  # core pickles by value
-        assert clone.snapshots == {} and clone.outcomes == {}
+        assert clone.outcomes == {}
+        pairs = [(compiled.globals_init, clone.globals_init)] + [
+            (cf, clone.functions[name])
+            for name, cf in compiled.functions.items()]
+        assert set(clone.functions) == set(compiled.functions)
+        for before, after in pairs:
+            assert before.plan == after.plan, before.name
+            assert before.slot_ids == after.slot_ids, before.name
+        assert render_compiled(clone) == render_compiled(compiled)
         assert CompiledEvaluator(clone, CERBERUS.fresh_model()).run() == \
             compiled.outcomes[next(iter(compiled.outcomes))]
 

@@ -215,7 +215,7 @@ class TestElaborationDeterminism:
 
     def test_dump_core_flag_prints_the_listing(self, tmp_path, capsys):
         # Under the default (compiled) evaluator the listing includes
-        # the compiler's fold/fuse annotations on top of the Core ops.
+        # the compiler's fuse annotations on top of the Core ops.
         from repro.cli import main
         from repro.core.compile import render_compiled
         from repro.perf import compile_threaded

@@ -67,6 +67,29 @@ struct s { int a; } v;
 int main(void){ return (int)cheri_length_get(v); }""")
 
 
+#: break/continue with no enclosing loop (or switch, for break) violate
+#: the constraints of C11 6.8.6.2p1 and 6.8.6.3p1.
+JUMP_WITHOUT_TARGET = {
+    "break": "int main(void){ break; return 0; }",
+    "continue": "int main(void){ continue; return 0; }",
+    "continue-in-switch": """
+int main(void){
+  int x = 1;
+  switch (x) { case 1: continue; }
+  return 0;
+}""",
+}
+
+
+@pytest.mark.parametrize("evaluator", ("ast", "core", "compiled"))
+@pytest.mark.parametrize("program", sorted(JUMP_WITHOUT_TARGET))
+def test_jump_without_target_is_a_frontend_error(program, evaluator):
+    out = CERBERUS.run(JUMP_WITHOUT_TARGET[program], use_cache=False,
+                       evaluator=evaluator)
+    assert out.kind is OutcomeKind.ERROR, out.describe()
+    assert "not within a loop" in out.detail, out.detail
+
+
 class TestBuiltinMisuse:
     def test_printf_missing_args(self):
         frontend_error('#include <stdio.h>\n'
