@@ -19,17 +19,20 @@ from repro.perf.cache import (
 )
 
 
-#: Axes that determine the *compiled program*: the frontend, the
-#: modelled optimiser, and the bounds-narrowing passes read exactly
-#: these, so they (and only they) belong in compile-cache keys
+#: Axes that determine the *compiled program*: the frontend (type
+#: layout), the modelled optimiser, elaboration and threading read
+#: exactly these, so they (and only they) belong in compile-cache keys
 #: (:func:`repro.perf.cache.CompileCache.key_for`, the disk digest).
-COMPILE_AXES = ("arch", "opt_level", "subobject_bounds", "options")
+COMPILE_AXES = ("arch", "opt_level")
 
-#: Axes that only affect *running* a compiled program: a compiled
-#: program is valid across all of them (compile caches are shared), but
-#: the run memo must key on every one of them
-#: (:func:`repro.core.compile.run_config_key`).
-RUN_AXES = ("mode", "address_map", "revocation", "allocator")
+#: Axes that only affect *running* a compiled program -- the
+#: :class:`~repro.memory.model.MemoryModel` applies every one of them,
+#: including the S3.8 sub-object bounds narrowing and the S3.2
+#: semantics options: a compiled program is valid across all of them
+#: (compile caches are shared), but the run memo must key on every one
+#: of them (:func:`repro.core.compile.run_config_key`).
+RUN_AXES = ("mode", "address_map", "revocation", "allocator",
+            "subobject_bounds", "options")
 
 #: Axes with no semantic effect (labels for reports).
 META_AXES = ("name", "description")
@@ -81,13 +84,13 @@ class Implementation:
                 use_cache: bool | None = None) -> Program:
         """The cacheable stage: parse + modelled optimisation.
 
-        The result depends only on ``(source, arch, opt_level,
-        subobject_bounds, options)``, so it is served from the
-        process-wide compilation cache (:mod:`repro.perf.cache`) unless
-        ``use_cache`` disables it.  Elaborated Core programs
-        additionally persist in the content-addressed on-disk layer
-        (:mod:`repro.perf.disk`), so a fresh process -- or a pool
-        worker -- warm-starts from any previous run's compiles.
+        The result depends only on ``(source, arch, opt_level)``, so
+        it is served from the process-wide compilation cache
+        (:mod:`repro.perf.cache`) unless ``use_cache`` disables it.
+        Elaborated Core programs additionally persist in the
+        content-addressed on-disk layer (:mod:`repro.perf.disk`), so a
+        fresh process -- or a pool worker -- warm-starts from any
+        previous run's compiles.
         Raises :class:`CSyntaxError` / :class:`CTypeError` when the
         frontend rejects the program.
         """

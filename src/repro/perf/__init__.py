@@ -4,11 +4,11 @@ The S5 experiment and the fuzz loop both run the *same* program text on
 many implementation configurations.  Two facts make that cheap to
 exploit:
 
-* compilation (parse + modelled optimisation) is a pure function of
-  ``(source, arch, opt_level, subobject_bounds, options)`` -- the
-  address map and execution mode only matter at *run* time -- so one
-  compile can serve every implementation sharing those axes
-  (:mod:`repro.perf.cache`);
+* compilation (parse + modelled optimisation + elaboration) is a pure
+  function of ``(source, arch, opt_level)`` -- the address map,
+  execution mode, sub-object bounds and semantics options are applied
+  by the memory model at *run* time -- so one compile can serve every
+  implementation sharing those axes (:mod:`repro.perf.cache`);
 * every run is deterministic and isolated (a fresh
   :class:`~repro.memory.model.MemoryModel` per run), so runs can be
   fanned out across worker processes and stitched back together in

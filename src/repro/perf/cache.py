@@ -1,14 +1,17 @@
 """The compilation cache behind :meth:`Implementation.compile`.
 
-Compilation -- lexing, parsing, and the modelled optimisation passes --
-is a pure function of ``(source, arch, opt_level, subobject_bounds,
-options)``.  Everything else an :class:`~repro.impls.config.Implementation`
-carries (address map, abstract-vs-hardware mode, revocation) only
-affects *running* the compiled program, so e.g. all four ``-O0``
-hardware implementations plus the reference can share a single parse of
-each test program.  The S5 comparison compiles each of the 94 programs
-twice (once per distinct opt level) instead of seven times, and the
-differential oracle compiles each generated program a handful of times
+Compilation -- lexing, parsing, the modelled optimisation passes,
+elaboration and threading -- is a pure function of ``(source, arch,
+opt_level)``.  Everything else an
+:class:`~repro.impls.config.Implementation` carries (address map,
+abstract-vs-hardware mode, revocation, allocator policy, sub-object
+bounds, semantics options) is applied by the
+:class:`~repro.memory.model.MemoryModel` while the program *runs*, so
+e.g. all four ``-O0`` hardware implementations plus the reference and
+``cerberus-permissive`` share a single compile of each test program.
+The S5 comparison compiles each of the 94 programs twice (once per
+distinct opt level) instead of seven times, and the differential oracle
+compiles each generated program once per distinct (arch, opt level)
 instead of once per target.
 
 Five layers of reuse, each with its own :class:`CacheStats` in
@@ -17,14 +20,15 @@ Five layers of reuse, each with its own :class:`CacheStats` in
 * a *parse* memo keyed by ``(source, arch)`` -- the AST before
   optimisation, shared across opt levels (AST nodes are frozen
   dataclasses, so sharing is safe);
-* the *compiled* cache keyed by the full five-axis tuple, holding the
-  optimised program -- or the frontend error, so a program the frontend
-  rejects is rejected once, not once per implementation;
-* the *core* cache, keyed by the same five-axis tuple, holding the
+* the *compiled* cache keyed by the compile identity ``(source, arch,
+  opt_level)``, holding the optimised program -- or the frontend error,
+  so a program the frontend rejects is rejected once, not once per
+  implementation;
+* the *core* cache, keyed by the same compile identity, holding the
   elaborated :class:`~repro.core.coreir.CoreProgram` (built from the
   optimised AST) -- or the elaboration error, cached with the same
   once-not-once-per-implementation policy as frontend rejections;
-* the *threaded* cache, keyed by the same five-axis tuple, holding the
+* the *threaded* cache, keyed by the same compile identity, holding the
   direct-threaded :class:`~repro.core.compile.CompiledProgram` built
   from the cached Core program.  Compiled programs are closures and so
   **process-local**: they never pickle across the worker pool -- a
@@ -34,12 +38,13 @@ Five layers of reuse, each with its own :class:`CacheStats` in
   unpickle;
 * the *disk* layer (:mod:`repro.perf.disk`): a content-addressed
   on-disk store of pickled Core programs backing the core layer, keyed
-  by the SHA-256 of the same five axes, shared across worker processes
-  **and across CLI invocations**.  A core-layer miss consults it before
-  compiling, and a fresh compile publishes to it, so a warm-started
-  process (or a cold pool worker) performs zero frontend compiles for
-  sources any previous run compiled.  Rejections are never written to
-  disk -- they are cheap to rediscover and memory-cached per process.
+  by the SHA-256 of the same compile identity, shared across worker
+  processes **and across CLI invocations**.  A core-layer miss consults
+  it before compiling, and a fresh compile publishes to it, so a
+  warm-started process (or a cold pool worker) performs zero frontend
+  compiles for sources any previous run compiled.  Rejections are never
+  written to disk -- they are cheap to rediscover and memory-cached per
+  process.
 
 The in-memory layers are bounded LRU maps (entries evicted
 oldest-first), sized for a long fuzz campaign without unbounded growth,
@@ -175,7 +180,7 @@ class CompileCache:
         self._compiled: OrderedDict[tuple, tuple[str, object]] = OrderedDict()
         self._parsed: OrderedDict[tuple, object] = OrderedDict()
         # key -> ("ok", CoreProgram) | ("error", ...): elaborated Core,
-        # same five-axis identity as the compiled layer.
+        # same compile identity as the compiled layer.
         self._core: OrderedDict[tuple, tuple[str, object]] = OrderedDict()
         # key -> ("ok", CompiledProgram) | ("error", ...): the
         # direct-threaded closure tables (process-local; see module
@@ -186,13 +191,13 @@ class CompileCache:
     @staticmethod
     def key_for(impl, source: str) -> tuple:
         """The compile identity of ``source`` under ``impl``: every
-        configuration axis that can change the compiled program
+        configuration axis the compile pipeline reads
         (:data:`repro.impls.config.COMPILE_AXES`), and none of the
-        run-only axes (address map, mode, revocation, allocator policy)
-        -- one compiled program serves every allocator policy, so the
-        policy grid shares these cache layers."""
-        return (source, impl.arch.name, impl.opt_level,
-                impl.subobject_bounds, impl.options)
+        run axes the memory model applies (mode, address map,
+        revocation, allocator policy, sub-object bounds, semantics
+        options) -- one compiled program serves every run
+        configuration of an (arch, opt level)."""
+        return (source, impl.arch.name, impl.opt_level)
 
     def active_disk(self) -> DiskCache | None:
         if self._disk is CompileCache.PROCESS_DISK:
@@ -262,7 +267,7 @@ class CompileCache:
         cached :class:`~repro.core.coreir.CoreProgram` -- from memory
         first, then from the shared disk layer.  Frontend *and*
         elaboration rejections are cached (in memory only) under the
-        same five-axis key, so an elaboration-rejected program is
+        same compile key, so an elaboration-rejected program is
         rejected once, not once per implementation sharing the key."""
         key = self.key_for(impl, source)
         entry = self._core.get(key)
@@ -297,7 +302,7 @@ class CompileCache:
         """Compile + elaborate + thread ``source`` for ``impl``,
         reusing any cached :class:`~repro.core.compile.CompiledProgram`.
         Frontend and elaboration rejections are cached under the same
-        five-axis key (the same policy as the other layers)."""
+        compile key (the same policy as the other layers)."""
         key = self.key_for(impl, source)
         entry = self._threaded.get(key)
         if entry is not None:

@@ -11,8 +11,8 @@ closure tables above it are process-local by design and cheap to
 re-thread from Core).
 
 Addressing is by content, not by name: the entry for a compile is
-``sha256(format version + arch + opt level + subobject mode + options +
-source)``, i.e. exactly the five axes that define compile identity in
+``sha256(format version + arch + opt level + source)``, i.e. exactly
+the three axes that define compile identity in
 :meth:`CompileCache.key_for` plus the on-disk format version.  Changing
 any axis -- or bumping :data:`DISK_FORMAT_VERSION` when the compiler's
 internals change shape -- lands on a different address, so stale
@@ -69,19 +69,16 @@ def default_cache_dir() -> pathlib.Path:
 def digest_for(key: tuple) -> str:
     """The content address of one compile-identity key.
 
-    ``key`` is :meth:`CompileCache.key_for`'s five-axis tuple
-    ``(source, arch_name, opt_level, subobject_bounds, options)``.
-    ``repr(options)`` is a frozen dataclass of enums, so it is stable
-    across processes and grows new fields loudly (a new option axis
-    changes every digest -- correct invalidation by construction).
-    Run-only axes (mode, address map, revocation, allocator policy)
-    are deliberately absent: one on-disk entry serves every run
-    configuration, including the whole allocator-policy grid.
+    ``key`` is :meth:`CompileCache.key_for`'s tuple ``(source,
+    arch_name, opt_level)``.  Run axes (mode, address map, revocation,
+    allocator policy, sub-object bounds, semantics options) are
+    deliberately absent: the memory model applies them at run time, so
+    one on-disk entry serves every run configuration of an (arch, opt
+    level).
     """
-    source, arch, opt_level, subobject, options = key
+    source, arch, opt_level = key
     payload = "\x00".join((
-        f"v{DISK_FORMAT_VERSION}", arch, str(opt_level), str(subobject),
-        repr(options), source,
+        f"v{DISK_FORMAT_VERSION}", arch, str(opt_level), source,
     ))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -9,6 +9,11 @@ configuration key and must NOT fragment the compile layers), or
 reflection*: adding a new Implementation field without sorting it into
 an axis tuple -- or sorting it into one the caches don't honour --
 fails here, not as a silent stale-cache bug.
+
+The key checks alone cannot catch a compile pass that starts reading a
+run axis, so the partition is also checked by behaviour: compiling
+every S5 case under each run-axis variant must render the same Core
+program as the base, and each compile axis must change at least one.
 """
 
 from __future__ import annotations
@@ -19,14 +24,16 @@ import pytest
 
 from repro.capability.cheriot import CHERIOT
 from repro.core.compile import run_config_key
+from repro.core.coreir import render_core
 from repro.impls import (
     COMPILE_AXES, META_AXES, RUN_AXES, CERBERUS, Implementation,
 )
 from repro.impls.registry import CHERIOT_MAP
 from repro.memory.model import Mode
 from repro.memory.options import OOBArithPolicy, SemanticsOptions
-from repro.perf.cache import CompileCache
+from repro.perf.cache import CompileCache, compile_core
 from repro.perf.disk import digest_for
+from repro.testsuite.suite import all_cases
 
 SOURCE = "int main(void) { return 0; }"
 
@@ -96,3 +103,28 @@ def test_run_axes_reach_the_run_config_key(axis):
 def test_run_config_key_is_stable_for_equal_configurations():
     assert run_config_key(CERBERUS.fresh_model()) \
         == run_config_key(CERBERUS.fresh_model())
+
+
+def rendered_suite(impl: Implementation) -> list[str]:
+    """Every S5 case compiled uncached for ``impl``, as rendered Core."""
+    return [render_core(compile_core(impl, case.source, use_cache=False))
+            for case in all_cases()]
+
+
+@pytest.fixture(scope="module")
+def base_rendering() -> list[str]:
+    return rendered_suite(CERBERUS)
+
+
+@pytest.mark.parametrize("axis", RUN_AXES)
+def test_run_axes_never_change_the_compiled_program(axis, base_rendering):
+    assert rendered_suite(variant(axis)) == base_rendering, (
+        f"a compile stage reads run axis {axis!r}: move it to "
+        f"COMPILE_AXES or stop reading it before run time")
+
+
+@pytest.mark.parametrize("axis", COMPILE_AXES)
+def test_compile_axes_change_some_compiled_program(axis, base_rendering):
+    assert rendered_suite(variant(axis)) != base_rendering, (
+        f"no S5 case compiles differently under compile axis {axis!r}: "
+        f"it may belong in RUN_AXES")

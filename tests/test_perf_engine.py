@@ -56,13 +56,12 @@ class TestCompileCache:
 
     @pytest.mark.parametrize("other", [
         CLANG_MORELLO_O3,            # opt_level axis
-        CLANG_MORELLO_O3_SUBOBJECT,  # opt_level + subobject_bounds axes
+        CLANG_MORELLO_O3_SUBOBJECT,  # opt_level (+ run axis subobject)
         CHERIOT_ABSTRACT,            # arch axis
-        CERBERUS_PERMISSIVE,         # options axis
     ])
     def test_isolated_across_compile_axes(self, other):
-        # Distinct (arch, opt_level, subobject_bounds, options) keys
-        # never serve each other's entries: two misses, two entries.
+        # Distinct (arch, opt_level) keys never serve each other's
+        # entries: two misses, two entries.
         cache = CompileCache(disk=None)
         cache.compile(CERBERUS, SOURCE)
         cache.compile(other, SOURCE)
@@ -70,12 +69,20 @@ class TestCompileCache:
         assert cache.stats.compiled.misses == 2
         assert cache.entry_counts()["compiled"] == 2
 
-    def test_subobject_key_isolated_from_plain_o3(self):
+    @pytest.mark.parametrize("base,other", [
+        pytest.param(CERBERUS, CERBERUS_PERMISSIVE, id="options"),
+        pytest.param(CLANG_MORELLO_O3, CLANG_MORELLO_O3_SUBOBJECT,
+                     id="subobject_bounds"),
+    ])
+    def test_shared_across_memory_model_axes(self, base, other):
+        # Sub-object bounds and the semantics options are applied by
+        # the memory model at run time, so an implementation and its
+        # variant on either axis share one compile: one miss, one hit.
         cache = CompileCache(disk=None)
-        plain = cache.compile(CLANG_MORELLO_O3, SOURCE)
-        subobject = cache.compile(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
-        assert subobject is not plain
-        assert cache.stats.compiled.hits == 0
+        assert cache.compile(other, SOURCE) is cache.compile(base, SOURCE)
+        assert cache.stats.compiled.misses == 1
+        assert cache.stats.compiled.hits == 1
+        assert cache.entry_counts()["compiled"] == 1
 
     def test_parse_shared_across_opt_levels(self):
         # O0 and O3 compile to different programs but share the parse.
@@ -198,11 +205,24 @@ class TestThreadedCacheLayer:
         assert len(cache._threaded) == len(cache._core) == 1
 
     def test_isolated_across_compile_axes(self):
-        cache = CompileCache()
-        plain = cache.threaded(CLANG_MORELLO_O3, SOURCE)
-        subobject = cache.threaded(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
-        assert plain is not subobject
-        assert len(cache._threaded) == 2
+        cache = CompileCache(disk=None)
+        base = cache.threaded(CERBERUS, SOURCE)
+        assert cache.threaded(CLANG_MORELLO_O3, SOURCE) is not base
+        assert cache.threaded(CHERIOT_ABSTRACT, SOURCE) is not base
+        assert cache.stats.threaded.hits == 0
+        assert len(cache._threaded) == 3
+
+    @pytest.mark.parametrize("base,other", [
+        pytest.param(CERBERUS, CERBERUS_PERMISSIVE, id="options"),
+        pytest.param(CLANG_MORELLO_O3, CLANG_MORELLO_O3_SUBOBJECT,
+                     id="subobject_bounds"),
+    ])
+    def test_shared_across_memory_model_axes(self, base, other):
+        cache = CompileCache(disk=None)
+        assert cache.threaded(other, SOURCE) is cache.threaded(base, SOURCE)
+        assert cache.stats.threaded.misses == 1
+        assert cache.stats.threaded.hits == 1
+        assert len(cache._threaded) == 1
 
     def test_eviction_is_bounded(self):
         cache = CompileCache(maxsize=2)
@@ -240,6 +260,60 @@ class TestThreadedCacheLayer:
             uncached = impl.run(SOURCE, use_cache=False,
                                 evaluator="compiled")
             assert cached == uncached, impl.name
+
+
+class TestMemoryModelAxesShareOneCompile:
+    """Sub-object bounds and semantics options are run axes: the
+    implementations that differ only there share one CompiledProgram,
+    and its run memo keeps their outcomes apart."""
+
+    #: (S5 case, ((implementation, its outcome), ...)): the two
+    #: implementations share a compile key and disagree on the outcome.
+    PAIRS = [
+        ("subobject-container-of",
+         (("clang-morello-O3", "exit 0"),
+          ("clang-morello-O3-subobject-safe", "trap: tag violation"))),
+        ("oob-negative-index",
+         (("cerberus", "UB UB_out_of_bounds_pointer_arithmetic"),
+          ("cerberus-permissive", "UB UB_CHERI_BoundsViolation"))),
+    ]
+
+    @pytest.mark.parametrize("case_name,pair", PAIRS,
+                             ids=[name for name, _ in PAIRS])
+    def test_shared_run_memo_does_not_alias(self, case_name, pair,
+                                            monkeypatch):
+        from repro.impls import by_name
+        from repro.perf import cache as perf_cache
+        source = next(case.source for case in all_cases()
+                      if case.name == case_name)
+        impls = [by_name(name) for name, _ in pair]
+        uncached = {impl.name: impl.run(source, use_cache=False)
+                    for impl in impls}
+        assert {name: uncached[name].describe() for name, _ in pair} \
+            == dict(pair)
+        for order in (impls, impls[::-1]):
+            monkeypatch.setattr(perf_cache, "_GLOBAL_CACHE",
+                                CompileCache(disk=None))
+            first, second = order
+            assert perf_cache.compile_threaded(first, source) \
+                is perf_cache.compile_threaded(second, source)
+            for _ in range(2):
+                for impl in order:
+                    assert impl.run(source) == uncached[impl.name], \
+                        impl.name
+
+    def test_fuzz_programs_compile_once_per_arch_and_opt_level(self):
+        # Ten generated programs through the oracle: three compile keys
+        # per program (two (arch, opt level) pairs on Morello plus one
+        # on CHERIoT), parsed once per arch.
+        from repro.fuzz.oracle import evaluate_program
+        from repro.perf.cache import clear_cache, global_cache
+        clear_cache()
+        for index in range(10):
+            evaluate_program(program_for(0, index).render())
+        stats = global_cache().stats
+        assert stats.core.misses == stats.threaded.misses == 30
+        assert stats.parse.misses == 20
 
 
 class TestBenchGateSkipReason:
