@@ -1,25 +1,23 @@
 #!/usr/bin/env python
 """The evaluator-differential gate (CI job ``evaluator-differential``).
 
-The repository carries three complete execution strategies for the
-same semantics: the recursive AST walker (:mod:`repro.core.interp`),
-the iterative Core-IR evaluator (:mod:`repro.core.coreeval`), and the
+The repository carries one reference execution semantics, the iterative
+Core-IR evaluator (:mod:`repro.core.coreeval`), and one fast path, the
 direct-threaded compiled backend (:mod:`repro.core.compile`, with
-superinstruction fusion).  The compiled backend
-is the process default; the walker and the Core evaluator are the
-oracles it is judged against.  This gate is what makes that
-arrangement safe: it renders
+superinstruction fusion).  The compiled backend is the process default;
+the Core evaluator is the reference it is judged against.  This gate is
+what makes that arrangement safe: it renders
 
 * the full S5 compliance report (every implementation x every suite
   case), and
 * a fixed-seed fuzz campaign report (default 500 generated programs,
   every divergence classified and minimized),
 
-under *all three* evaluators, serially and with a worker pool, and
-demands the rendered reports be **byte-identical** pairwise.  Outcome kinds,
-exit codes, stdout, UB catalogue entries, step-metered budget cutoffs,
-divergence grouping, and shrinker results all feed those renderings, so
-a single differing byte fails the gate.
+under both evaluators, serially and with a worker pool, and demands
+the rendered reports be **byte-identical**.  Outcome kinds, exit codes,
+stdout, UB catalogue entries, step-metered budget cutoffs, divergence
+grouping, and shrinker results all feed those renderings, so a single
+differing byte fails the gate.
 
 It additionally pins the ``--allocator bump`` identity: running the S5
 grid and the fuzz campaign with an *explicit* ``bump`` allocator
@@ -31,8 +29,8 @@ axis is inert, so the pre-policy goldens all stand.
 nondeterministic field in the rendering; it is normalised to zero on
 every report before comparison.
 
-Exit status 0 = the evaluators agree; 1 = any pair of reports differs
-(a unified diff is printed).
+Exit status 0 = the evaluators agree; 1 = the reports differ (a
+unified diff is printed).
 """
 
 from __future__ import annotations
@@ -42,12 +40,11 @@ import difflib
 import sys
 import time
 
+from repro.core.coreeval import EVALUATORS
 from repro.fuzz import run_fuzz
 from repro.impls import ALL_IMPLEMENTATIONS
 from repro.reporting.tables import render_compliance, render_fuzz_summary
 from repro.testsuite.compare import compare_implementations
-
-EVALUATORS = ("ast", "core", "compiled")
 
 
 def suite_rendering(evaluator: str, jobs: int) -> str:
@@ -104,7 +101,8 @@ def bump_override_check(seed: int, iterations: int) -> bool:
 
 
 def check_pair(label: str, by_evaluator: dict[str, str]) -> bool:
-    """Pairwise byte-identity against the AST-walker baseline."""
+    """Byte-identity of every evaluator's report against the reference
+    (Core) evaluator's."""
     baseline = by_evaluator[EVALUATORS[0]]
     ok = True
     for other in EVALUATORS[1:]:
@@ -128,7 +126,7 @@ def check_pair(label: str, by_evaluator: dict[str, str]) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Require byte-identical suite and fuzz reports from "
-                    "the AST, Core, and compiled evaluators")
+                    "the Core and compiled evaluators")
     parser.add_argument("--seed", type=int, default=0,
                         help="fuzz campaign seed (default: 0)")
     parser.add_argument("--fuzz-iterations", type=int, default=500,

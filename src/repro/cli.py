@@ -16,7 +16,7 @@ Usage::
     repro trace test.c --explain     # semantic event trace + UB explainer
     repro trace test.c --jsonl out.jsonl --metrics
     repro run test.c --dump-core     # print the elaborated Core IR
-    repro suite --evaluator ast      # run on the recursive AST walker
+    repro suite --evaluator core     # run on the reference Core evaluator
     repro compare --allocator freelist   # the grid over reusing heaps
     repro fuzz --allocator freelist --seed 0   # + allocator targets
 
@@ -27,7 +27,7 @@ cache (see docs/PERFORMANCE.md).  ``--max-steps/--max-allocations/
 --max-alloc-bytes/--deadline`` put a resource budget on every run, so
 even a nonterminating program ends with a structured
 ``resource_exhausted`` outcome (see docs/ROBUSTNESS.md).
-``--evaluator {ast,core,compiled}`` selects the execution strategy
+``--evaluator {core,compiled}`` selects the execution strategy
 (default: ``compiled``, the direct-threaded closure backend; see
 docs/PERFORMANCE.md) and ``--dump-core`` prints the elaborated listing
 -- with fuse annotations under ``compiled`` -- instead of running.
@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.coreeval import EVALUATORS
 from repro.impls import ALL_IMPLEMENTATIONS, by_name
 
 
@@ -58,12 +59,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="disable the on-disk compile-cache layer "
                              "(in-memory caching still applies)")
     parser.add_argument("--evaluator",
-                        choices=("ast", "core", "compiled"),
+                        choices=EVALUATORS,
                         default=None,
-                        help="execution strategy: the recursive AST "
-                             "walker, the iterative Core-IR evaluator, "
-                             "or the direct-threaded compiled backend "
-                             "(default: compiled; all three are held "
+                        help="execution strategy: the iterative Core-IR "
+                             "evaluator (the reference) or the "
+                             "direct-threaded compiled backend "
+                             "(default: compiled; the two are held "
                              "byte-identical by the differential gate)")
     parser.add_argument("--allocator",
                         choices=("bump", "freelist", "quarantine"),
@@ -402,7 +403,7 @@ def trace_main(argv: list[str]) -> int:
                         help="print run metrics (event counts, UB "
                              "verdicts, allocator totals)")
     parser.add_argument("--evaluator",
-                        choices=("ast", "core", "compiled"),
+                        choices=EVALUATORS,
                         default=None,
                         help="execution strategy (default: compiled; "
                              "traced compiled runs dispatch through the "

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.capability.abstract import Capability
+from repro.core.semantics import AbortSignal, ExitSignal
 from repro.ctypes.types import (
     BOOL, CType, IKind, INT, Integer, Pointer, PTRADDR, SIZE_T, VOID,
 )
@@ -32,7 +33,7 @@ from repro.memory.values import (
 from repro.reporting.capprint import format_capability
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.interp import Interpreter
+    from repro.core.coreeval import CoreEvaluator
 
 #: Runtime-provided (not header-intrinsic) CHERI helpers.
 CHERI_RUNTIME_NAMES = frozenset({
@@ -52,7 +53,7 @@ LIBC_NAMES = frozenset({
 BUILTIN_NAMES = LIBC_NAMES | CHERI_RUNTIME_NAMES | frozenset(SIGNATURES)
 
 
-def dispatch(interp: "Interpreter", name: str, args: list[MemoryValue],
+def dispatch(interp: "CoreEvaluator", name: str, args: list[MemoryValue],
              line: int) -> MemoryValue | None:
     if name in SIGNATURES:
         result = _intrinsic(interp, name, args, line)
@@ -64,7 +65,7 @@ def dispatch(interp: "Interpreter", name: str, args: list[MemoryValue],
     return handler(interp, args, line)
 
 
-def _trace_render(interp: "Interpreter", value: MemoryValue) -> str:
+def _trace_render(interp: "CoreEvaluator", value: MemoryValue) -> str:
     """Render a value for the ``intrinsic.call`` trace payload in the
     Appendix-A capprint style (provenance-free under hardware)."""
     hardware = interp.model.hardware
@@ -84,7 +85,7 @@ def _trace_render(interp: "Interpreter", value: MemoryValue) -> str:
     return str(value)
 
 
-def _emit_intrinsic_call(interp: "Interpreter", bus, name: str,
+def _emit_intrinsic_call(interp: "CoreEvaluator", bus, name: str,
                          args: list[MemoryValue],
                          result: MemoryValue) -> None:
     ctx = {}
@@ -111,7 +112,7 @@ def _emit_intrinsic_call(interp: "Interpreter", bus, name: str,
 # ---------------------------------------------------------------------------
 
 
-def _value_capability(interp: "Interpreter",
+def _value_capability(interp: "CoreEvaluator",
                       value: MemoryValue) -> tuple[Capability, Provenance,
                                                    CType]:
     """Extract the capability view of any capability-carrying argument
@@ -130,7 +131,7 @@ def _value_capability(interp: "Interpreter",
                      f"{value.ctype}")
 
 
-def _rebuild(interp: "Interpreter", ctype: CType, cap: Capability,
+def _rebuild(interp: "CoreEvaluator", ctype: CType, cap: Capability,
              prov: Provenance) -> MemoryValue:
     """Package an intrinsic's capability result at the argument's type
     (the SAME_AS_ARG0 return-type derivation)."""
@@ -145,7 +146,7 @@ def _rebuild(interp: "Interpreter", ctype: CType, cap: Capability,
         if isinstance(ctype, Integer) else cap.address))
 
 
-def _int_result(ctype: CType, value, interp: "Interpreter") -> MemoryValue:
+def _int_result(ctype: CType, value, interp: "CoreEvaluator") -> MemoryValue:
     if value is UNSPECIFIED:
         return MVUnspecified(ctype)
     if isinstance(value, bool):
@@ -155,7 +156,7 @@ def _int_result(ctype: CType, value, interp: "Interpreter") -> MemoryValue:
         interp.layout.wrap(ctype.kind, value)))
 
 
-def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
+def _intrinsic(interp: "CoreEvaluator", name: str, args: list[MemoryValue],
                line: int) -> MemoryValue:
     sig = SIGNATURES[name]
     if len(args) != len(sig.params):
@@ -217,7 +218,7 @@ def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
     raise CTypeError(f"unhandled intrinsic {name}")
 
 
-def _int_operand(interp: "Interpreter", name: str,
+def _int_operand(interp: "CoreEvaluator", name: str,
                  args: list[MemoryValue], index: int) -> int:
     """Integer operand ``index`` of intrinsic ``name``, converted to its
     declared parameter type as for a prototyped call (C11 6.5.2.2p7):
@@ -500,12 +501,10 @@ def _bi_assert(interp, args, line):
 
 
 def _bi_abort(interp, args, line):
-    from repro.core.interp import AbortSignal
     raise AbortSignal("abort() called")
 
 
 def _bi_exit(interp, args, line):
-    from repro.core.interp import ExitSignal
     raise ExitSignal(_plain_int(args[0], "exit") & 0xFF)
 
 

@@ -1,8 +1,9 @@
 """Abstract syntax for the CHERI C subset.
 
 Every node carries a source line for error reporting.  The AST is plain
-data: the evaluator (:mod:`repro.core.interp`) gives it meaning, and the
-modelled optimiser (:mod:`repro.core.optimizer`) rewrites it.
+data: elaboration into Core (:mod:`repro.core.elaborate`) gives it
+meaning, and the modelled optimiser (:mod:`repro.core.optimizer`)
+rewrites it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ index the table).  Three superinstructions fuse the hot op pairs
 gets a per-site inline cache.  Compilation is a pure function of the
 Core program: no implementation, mode, or memory state is consulted.
 
-Semantic ground rules (the whole point of the three-way differential
-gate):
+Semantic ground rules (the whole point of the core-vs-compiled
+differential gate):
 
 * **Charge identity.**  Every closure charges exactly the steps its
   ops would have charged under the Core loop, *before* running, with
@@ -36,7 +36,7 @@ and every observable (exit status, stdout, UB, trap, unspecified-ness)
 lands in the frozen :class:`~repro.errors.Outcome`.  The evaluator
 therefore memoises the complete Outcome per ``(entry point, run
 configuration)`` on the :class:`CompiledProgram`: the first run of each
-configuration executes for real (and is what the three-way
+configuration executes for real (and is what the core-vs-compiled
 differential gate checks), repeats are served from the memo.  Traced,
 metered, or fault-injected runs never consult or populate it.  This is
 the dominant term in the compliance benchmark's warm-cache speedup; the
@@ -140,10 +140,6 @@ class CompiledProgram:
         #: meter, no faults); see "Run memoisation" in the module
         #: docstring.  Process-local, never pickled.
         self.outcomes: dict = {}
-
-    @property
-    def ast(self):
-        return self.core.ast
 
     def __reduce__(self):
         # Closures do not pickle: reduce to the Core program and

@@ -14,8 +14,8 @@ Op taxonomy (docs/SEMANTICS.md has the rationale per group):
 
 ``Charge``
     pure step-metering op for an interior AST node (leaf ops carry
-    their own charge flag), keeping Core step counts identical to the
-    AST walker's per-node counts;
+    their own charge flag), so a Core step count is a per-AST-node
+    count;
 ``PushInt / PushString / LoadIdent / TypeInfo``
     value creation (literals, identifier loads with array/function
     decay, ``sizeof``/``alignof``/``offsetof``);
@@ -38,22 +38,22 @@ GlobalStore``
     object creation for local declarations and function-local statics;
 ``ResolveCall / ResolveTarget / Invoke / Ret / Halt``
     the calling convention: resolution (including function-pointer
-    capability checks) happens *before* argument evaluation, exactly as
-    in the AST walker; ``Invoke`` pushes a frame, ``Ret`` pops one --
-    call depth is bounded by the frame stack, not the host stack;
+    capability checks) happens *before* argument evaluation;
+    ``Invoke`` pushes a frame, ``Ret`` pops one -- call depth is
+    bounded by the frame stack, not the host stack;
 ``VaStart / VaCopy / VaArgOp``
     the variadic-argument protocol;
 ``BuildArray / BuildStruct / BuildUnion / PushStrArray / PushZero``
     initialiser composition;
 ``RaiseOp``
-    runtime-raising op for programs the AST walker only rejects *when
+    runtime-raising op for programs that are only rejected *when
     executed* (elaboration is total: it never rejects parser output).
 """
 
 from __future__ import annotations
 
 from repro.core import builtins as builtin_mod
-from repro.core.interp import Binding, CHAR_CONST
+from repro.core.semantics import Binding, CHAR_CONST
 from repro.ctypes.types import (
     ArrayT, FuncT, IKind, INT, Integer, Pointer, SIZE_T, StructT, UnionT,
     VOID, Void,
@@ -69,10 +69,10 @@ from repro.memory.values import (
 
 class Op:
     """One Core instruction.  ``charge`` marks the ops that count as an
-    evaluation step (exactly one charged op per AST-walker ``eval``/
-    ``exec_stmt`` call, so budgets and traces agree byte-for-byte
-    across evaluators).  ``run`` returns True when it switched the
-    active frame (call/return)."""
+    evaluation step (exactly one charged op per AST expression or
+    statement evaluated, so budgets and traces are a per-node count
+    the compiled backend reproduces byte-for-byte).  ``run`` returns
+    True when it switched the active frame (call/return)."""
 
     __slots__ = ("line", "charge", "id")
     name = "op"
@@ -206,10 +206,10 @@ class TypeInfo(Op):
 
 
 class SizeofOf(Op):
-    """``sizeof(expr)``: the compile-time part of ``type_of`` is the
-    pre-elaborated ``steps`` chain; a non-static innermost operand was
-    elaborated as ordinary rvalue ops whose result this op consumes
-    (matching the AST walker's evaluate-and-take-``.ctype`` fallback)."""
+    """``sizeof(expr)``: the static type descent is the pre-elaborated
+    ``steps`` chain; a non-static innermost operand was elaborated as
+    ordinary rvalue ops whose result this op consumes (the operand is
+    evaluated and its value's ``.ctype`` taken)."""
 
     __slots__ = ("leaf", "steps")
     name = "sizeof_of"
@@ -725,7 +725,7 @@ class JumpIfTrue(Op):
 class SwitchDispatch(Op):
     """Pop the selector, pick a case label, push the switch scope.
     No match and no default jumps straight past the switch without
-    pushing a scope (exactly as the AST walker returns early)."""
+    pushing a scope."""
 
     __slots__ = ("cases", "stmt_targets", "end")
     name = "switch"
@@ -807,9 +807,10 @@ class PopScopes(Op):
 
 
 class RaiseOp(Op):
-    """Raise a runtime error the AST walker raises mid-evaluation;
-    elaboration is total, so rejection happens at the same execution
-    point (and is charged identically) rather than at compile time."""
+    """Raise a runtime error mid-evaluation; elaboration is total, so
+    rejection happens at the execution point that reaches the offending
+    node (and is charged like any op there) rather than at compile
+    time."""
 
     __slots__ = ("exc", "args")
     name = "raise"
@@ -833,8 +834,8 @@ class RaiseOp(Op):
 
 
 class DeclAlloc(Op):
-    """Allocate + bind a local object (binding precedes initialisation,
-    as in the AST walker: ``int x = x;`` sees the new ``x``)."""
+    """Allocate + bind a local object (binding precedes initialisation:
+    ``int x = x;`` sees the new ``x``)."""
 
     __slots__ = ("decl", "readonly", "push_lv")
     name = "decl"
@@ -1038,8 +1039,7 @@ class BuildUnion(Op):
 class ResolveCall(Op):
     """Resolve a named call target *before* argument evaluation: local
     binding -> call through the stored function pointer (capability
-    checks happen here, as in the AST walker); otherwise builtin or
-    user function by name."""
+    checks happen here); otherwise builtin or user function by name."""
 
     __slots__ = ("expr",)
     name = "resolve"
@@ -1065,9 +1065,9 @@ class ResolveCall(Op):
                 return False
             raise CTypeError(f"call to unknown function {name!r} "
                              f"(line {self.expr.line})")
-        # A local/global object: call through the stored pointer.  The
-        # AST walker evaluates the function expression (one charged
-        # eval), then checks the capability before the arguments.
+        # A local/global object: call through the stored pointer.
+        # Evaluating the function expression is one charged step, then
+        # the capability is checked before the arguments.
         ev.charge_step()
         target = ev._eval_ident(self.expr.func)
         if not isinstance(target, MVPointer):
@@ -1251,8 +1251,7 @@ class CoreProgram:
     """An elaborated translation unit.
 
     Keeps the originating (optimised) AST ``Program`` as ``ast``: the
-    evaluator still registers functions/globals from it, and
-    :meth:`Implementation.run_compiled` accepts either representation.
+    evaluator registers functions and allocates globals from it.
     """
 
     __slots__ = ("ast", "functions", "globals_init")

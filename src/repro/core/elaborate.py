@@ -10,22 +10,23 @@ which call :func:`repro.memory.derivation.derive` explicitly).
 
 Two properties the rest of the stack depends on:
 
-* **Elaboration is total** over parser output.  Programs the AST walker
-  only rejects *when execution reaches the offending node* (calling an
+* **Elaboration is total** over parser output.  Programs that are only
+  rejected *when execution reaches the offending node* (calling an
   unknown function, an initialiser list outside a declaration, ``++``
-  on a struct, ...) elaborate to a ``RaiseOp`` at the same execution
-  point, so both evaluators agree on every outcome -- including which
-  of two errors wins when a program contains both.
+  on a struct, ...) elaborate to a ``RaiseOp`` at that execution
+  point, so a rejection is an outcome of the run like any other --
+  including which of two errors wins when a program contains both.
   :class:`ElaborationError` exists for *malformed* ASTs that the parser
   can never produce.
 
-* **Charge matching.**  The AST walker counts one step per
-  ``eval``/``exec_stmt`` call, pre-order.  Elaboration emits exactly
-  one charged op per AST node at the same pre-order position (interior
+* **Charge matching.**  One evaluation step is one AST expression or
+  statement evaluated, counted pre-order.  Elaboration emits exactly
+  one charged op per AST node at its pre-order position (interior
   nodes get a standalone ``Charge``; leaf ops fold the charge in), so
   step budgets, cut-off points, deadline polls, and traced event step
-  numbers are identical across evaluators -- the differential gate
-  checks reports byte-for-byte.
+  numbers stay what the committed goldens pin, and the compiled backend
+  charges exactly the same steps -- the differential gate checks
+  reports byte-for-byte.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.core.coreir import (
     StoreValue, SwitchDispatch, TypeInfo, UnaryArith, VaArgOp, VaCopy,
     VaStart, finalize_func,
 )
-from repro.core.interp import CHAR_CONST, _array_of_const
+from repro.core.semantics import CHAR_CONST, _array_of_const
 from repro.ctypes.types import ArrayT, INT, StructT, UnionT, Void
 from repro.errors import CTypeError
 
@@ -71,8 +72,7 @@ class _Label:
 
 class _LoopCtx:
     """Targets for break/continue with the static scope depth each
-    unwinds to (``PopScopes`` replaces the AST walker's signal
-    exceptions)."""
+    unwinds to (``PopScopes`` + ``Jump``, no exception)."""
 
     __slots__ = ("break_label", "break_depth", "continue_label",
                  "continue_depth")
@@ -256,7 +256,7 @@ class _FuncElaborator:
             tuple((c.value, c.index) for c in node.cases), node.line)
         self.emit(dispatch)
         stmt_labels = [_Label() for _ in node.stmts]
-        # Break unwinds the switch scope too (the AST walker's finally).
+        # Break unwinds the switch scope too.
         self.loops.append(_LoopCtx(exit_, self.depth, None, 0))
         self.depth += 1
         for label, sub in zip(stmt_labels, node.stmts):
@@ -341,8 +341,8 @@ class _FuncElaborator:
     # -- expressions --------------------------------------------------
 
     def expr(self, node: Expr) -> None:
-        """Rvalue elaboration: exactly one charged op for this node
-        (before its sub-evaluations), matching the walker's ``eval``."""
+        """Rvalue elaboration: exactly one charged op for this node,
+        before its sub-evaluations."""
         if isinstance(node, IntLit):
             self.emit(PushInt(node.ctype or INT, node.value, node.line))
             return
@@ -429,9 +429,9 @@ class _FuncElaborator:
             node.line))
 
     def lvalue(self, node: Expr) -> None:
-        """Lvalue elaboration (``lval`` in the walker): leaves a
-        ``(ctype, pointer)`` pair; charges only for sub-*evaluations*,
-        never for the lvalue node itself."""
+        """Lvalue elaboration: leaves a ``(ctype, pointer)`` pair;
+        charges only for sub-*evaluations*, never for the lvalue node
+        itself."""
         if isinstance(node, Ident):
             self.emit(LvIdent(node, node.line))
             return
@@ -551,9 +551,9 @@ class _FuncElaborator:
         self.emit(VaCopy(node.line))
 
     def _sizeof_expr(self, node: SizeofExpr) -> None:
-        """Mirror ``type_of``'s static descent; a node it cannot type
-        statically becomes an evaluated leaf (the walker's fallback of
-        evaluating the operand and taking its ``.ctype``)."""
+        """The static type descent of ``sizeof expr``; a node it cannot
+        type statically becomes an evaluated leaf (the operand is
+        evaluated and its value's ``.ctype`` taken)."""
         steps: list[tuple] = []
         leaf = node.operand
         while True:
@@ -651,9 +651,9 @@ def _registered_functions(program: Program) -> dict[str, FuncDef]:
 def elaborate_program(program: Program) -> CoreProgram:
     """Elaborate a typed AST ``Program`` into a :class:`CoreProgram`.
 
-    Total over parser output: programs that fail at runtime under the
-    AST walker elaborate to Core that fails identically at the same
-    execution point.
+    Total over parser output: programs that can only be rejected at
+    runtime elaborate to Core that fails at the execution point where
+    the offending node is reached.
     """
     if not isinstance(program, Program):
         raise ElaborationError(

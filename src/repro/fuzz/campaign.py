@@ -45,7 +45,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.coreeval import set_default_evaluator
+from repro.core.coreeval import (
+    restores_default_evaluator, set_default_evaluator,
+)
 from repro.fuzz.corpus import (
     FindingRecord,
     SeedEntry,
@@ -316,6 +318,7 @@ class CampaignReport:
         return self.finding_hits == 0
 
 
+@restores_default_evaluator
 def run_campaign(seed: int = 0,
                  iterations: int | None = None,
                  time_budget: float | None = None,

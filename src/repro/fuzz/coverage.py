@@ -17,10 +17,10 @@ extracts one from the obs event trace of a single reference run:
 
 The signal is computed from **one traced run of the global reference
 with the Core evaluator pinned**, regardless of which evaluator the
-campaign itself runs.  The AST walker emits the same events but cannot
-attribute them to Core ops (``core_op`` is ``None`` there), so pinning
-the evaluator is what makes coverage a pure function of the program:
-two step-identical campaigns -- serial or pooled, ``--evaluator ast``
+campaign itself runs.  Pinning the reference semantics is what makes
+coverage a pure function of the program by construction, not by the
+compiled backend's choice to delegate traced runs to the Core loop:
+two step-identical campaigns -- serial or pooled, ``--evaluator core``
 or ``compiled`` -- observe identical coverage sets.  The same traced
 run also yields the explainer's signature (the campaign's dedup key)
 and the reference outcome, so guidance costs exactly one extra

@@ -31,7 +31,9 @@ from repro.fuzz.oracle import (
     FuzzTarget,
     evaluate_program,
 )
-from repro.core.coreeval import set_default_evaluator
+from repro.core.coreeval import (
+    restores_default_evaluator, set_default_evaluator,
+)
 from repro.fuzz.shrinker import shrink
 from repro.perf.cache import set_cache_enabled
 from repro.perf.pool import TaskFailure, parallel_map
@@ -243,6 +245,7 @@ def _preserves_group(key: tuple[str, str, str, str],
     return predicate
 
 
+@restores_default_evaluator
 def run_fuzz(seed: int = 0,
              iterations: int | None = None,
              time_budget: float | None = None,
@@ -301,11 +304,12 @@ def run_fuzz(seed: int = 0,
     makes shrinking of findings additionally preserve the reference
     trace's explaining signature (see :func:`_preserves_group`).
 
-    ``evaluator`` (``ast``/``core``/``None`` = process default) selects
-    the execution strategy for the whole campaign: it travels inside
-    each evaluation and shrink task for the workers and is installed as
-    the parent's default for the trace phase, so classification,
-    minimisation, and evidence capture all run under the same strategy.
+    ``evaluator`` (``core``/``compiled``/``None`` = process default)
+    selects the execution strategy for the whole campaign: it travels
+    inside each evaluation and shrink task for the workers and is
+    installed as the parent's default for the trace phase, so
+    classification, minimisation, and evidence capture all run under
+    the same strategy.  The caller's default is restored on return.
 
     ``heap_reuse`` switches on the generator's free-then-malloc and
     dangling-read statement shapes (``repro fuzz --allocator ...``);

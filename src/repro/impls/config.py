@@ -5,18 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.capability.abstract import Architecture
-from repro.core.cast import Program
-from repro.core.coreeval import CoreEvaluator, default_evaluator
+from repro.core.compile import CompiledEvaluator, CompiledProgram
+from repro.core.compile import compile_core as thread_core
+from repro.core.coreeval import CoreEvaluator, resolve_evaluator
 from repro.core.coreir import CoreProgram
-from repro.core.interp import Interpreter
 from repro.ctypes.layout import TargetLayout
 from repro.errors import CSyntaxError, CTypeError, Outcome
 from repro.memory.allocator import AddressMap
 from repro.memory.model import MemoryModel, Mode
 from repro.memory.options import PAPER_CHOICES, SemanticsOptions
-from repro.perf.cache import (
-    compile_core, compile_program, compile_threaded,
-)
+from repro.perf.cache import compile_core, compile_threaded
 
 
 #: Axes that determine the *compiled program*: the frontend (type
@@ -80,68 +78,39 @@ class Implementation:
     def layout(self) -> TargetLayout:
         return TargetLayout(self.arch)
 
-    def compile(self, source: str, *,
-                use_cache: bool | None = None) -> Program:
-        """The cacheable stage: parse + modelled optimisation.
-
-        The result depends only on ``(source, arch, opt_level)``, so
-        it is served from the process-wide compilation cache
-        (:mod:`repro.perf.cache`) unless ``use_cache`` disables it.
-        Elaborated Core programs additionally persist in the
-        content-addressed on-disk layer (:mod:`repro.perf.disk`), so a
-        fresh process -- or a pool worker -- warm-starts from any
-        previous run's compiles.
-        Raises :class:`CSyntaxError` / :class:`CTypeError` when the
-        frontend rejects the program.
-        """
-        return compile_program(self, source, use_cache=use_cache)
-
-    def run_compiled(self, program: Program | CoreProgram,
+    def run_compiled(self, program: CoreProgram | CompiledProgram,
                      main: str = "main", *, bus=None, budget=None,
                      faults=None, evaluator: str | None = None) -> Outcome:
-        """The run stage: interpret a compiled program on a fresh model.
+        """The run stage: run a compiled program on a fresh model.
 
-        Compiled programs are immutable (frozen-dataclass AST; Core op
-        lists are only ever read), so one cached compile can back any
-        number of concurrent runs.  ``program`` may be the typed AST
-        (from :meth:`compile`), an elaborated
-        :class:`~repro.core.coreir.CoreProgram`, or a direct-threaded
+        Compiled programs are immutable (Core op lists are only ever
+        read), so one cached compile can back any number of concurrent
+        runs.  ``program`` is an elaborated
+        :class:`~repro.core.coreir.CoreProgram` or a direct-threaded
         :class:`~repro.core.compile.CompiledProgram`; ``evaluator``
         picks the strategy (``None`` = the process default,
-        ``compiled``) -- a representation short of the chosen
-        evaluator's is elaborated/threaded on the fly, and a Core or
-        compiled program handed to the AST walker runs its retained
-        ``ast``.  When a :class:`~repro.robust.Budget` (or a test-only
-        :class:`~repro.robust.FaultPlan`) is given, the run is governed:
-        it always terminates with a structured outcome, never a hang or
-        a raw ``RecursionError``/``MemoryError``.
+        ``compiled``; any name outside
+        :data:`~repro.core.coreeval.EVALUATORS` raises
+        :class:`ValueError`) -- a Core program is threaded on the fly
+        for ``compiled``, and a compiled program runs its retained Core
+        under ``core``.  When a :class:`~repro.robust.Budget` (or a
+        test-only :class:`~repro.robust.FaultPlan`) is given, the run
+        is governed: it always terminates with a structured outcome,
+        never a hang or a raw ``RecursionError``/``MemoryError``.
         """
-        from repro.core.compile import CompiledEvaluator, CompiledProgram
+        evaluator = resolve_evaluator(evaluator)
         meter = None
         if budget is not None or faults is not None:
             from repro.robust.budget import BudgetMeter
             meter = BudgetMeter(budget, bus=bus, faults=faults)
         model = self.fresh_model(bus=bus, meter=meter)
-        if evaluator is None:
-            evaluator = default_evaluator()
         if evaluator == "compiled":
             if not isinstance(program, CompiledProgram):
-                from repro.core.compile import compile_core as thread_core
-                if not isinstance(program, CoreProgram):
-                    from repro.core.elaborate import elaborate_program
-                    program = elaborate_program(program)
                 program = thread_core(program)
             return CompiledEvaluator(program, model).run(main)
-        if evaluator == "core":
-            if isinstance(program, CompiledProgram):
-                program = program.core
-            elif not isinstance(program, CoreProgram):
-                from repro.core.elaborate import elaborate_program
-                program = elaborate_program(program)
-            return CoreEvaluator(program, model).run(main)
-        if isinstance(program, (CoreProgram, CompiledProgram)):
-            program = program.ast
-        return Interpreter(program, model).run(main)
+        if isinstance(program, CompiledProgram):
+            program = program.core
+        return CoreEvaluator(program, model).run(main)
 
     def run(self, source: str, main: str = "main", *, bus=None,
             use_cache: bool | None = None, budget=None,
@@ -151,28 +120,22 @@ class Implementation:
 
         ``bus`` attaches an :class:`~repro.obs.events.EventBus` for the
         run (``repro trace``, fuzz evidence capture); None = untraced.
-        ``evaluator`` selects ``ast`` (the recursive walker), ``core``
-        (the iterative Core evaluator), or ``compiled`` (the
-        direct-threaded closure backend); ``None`` defers to the
-        process default.  ``budget``/``faults`` govern the run stage
-        (see :meth:`run_compiled`); the compile stage additionally
-        honours a fault plan's ``compile_delay`` and converts host
-        recursion blow-ups on pathological inputs into structured
-        outcomes.
+        ``evaluator`` selects ``core`` (the iterative Core evaluator)
+        or ``compiled`` (the direct-threaded closure backend); ``None``
+        defers to the process default.  ``budget``/``faults`` govern
+        the run stage (see :meth:`run_compiled`); the compile stage
+        additionally honours a fault plan's ``compile_delay`` and
+        converts host recursion blow-ups on pathological inputs into
+        structured outcomes.
         """
         if faults is not None and faults.compile_delay is not None:
             import time
             time.sleep(faults.compile_delay)
-        if evaluator is None:
-            evaluator = default_evaluator()
+        evaluator = resolve_evaluator(evaluator)
+        compile_stage = (compile_threaded if evaluator == "compiled"
+                         else compile_core)
         try:
-            if evaluator == "compiled":
-                program = compile_threaded(self, source,
-                                           use_cache=use_cache)
-            elif evaluator == "core":
-                program = compile_core(self, source, use_cache=use_cache)
-            else:
-                program = self.compile(source, use_cache=use_cache)
+            program = compile_stage(self, source, use_cache=use_cache)
         except (CSyntaxError, CTypeError) as exc:
             return Outcome.frontend_error(str(exc))
         except RecursionError:

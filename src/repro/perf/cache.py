@@ -1,4 +1,4 @@
-"""The compilation cache behind :meth:`Implementation.compile`.
+"""The compilation cache behind :meth:`Implementation.run`.
 
 Compilation -- lexing, parsing, the modelled optimisation passes,
 elaboration and threading -- is a pure function of ``(source, arch,
@@ -21,9 +21,10 @@ Five layers of reuse, each with its own :class:`CacheStats` in
   optimisation, shared across opt levels (AST nodes are frozen
   dataclasses, so sharing is safe);
 * the *compiled* cache keyed by the compile identity ``(source, arch,
-  opt_level)``, holding the optimised program -- or the frontend error,
-  so a program the frontend rejects is rejected once, not once per
-  implementation;
+  opt_level)``, holding the optimised program that elaboration reads
+  (consulted only on a core-layer and disk miss) -- or the frontend
+  error, so a program the frontend rejects is rejected once, not once
+  per implementation;
 * the *core* cache, keyed by the same compile identity, holding the
   elaborated :class:`~repro.core.coreir.CoreProgram` (built from the
   optimised AST) -- or the elaboration error, cached with the same
@@ -348,7 +349,7 @@ _DISK_INSTANCE: DiskCache | None = None
 
 
 def global_cache() -> CompileCache:
-    """The process-wide cache used by :meth:`Implementation.compile`."""
+    """The process-wide cache used by :meth:`Implementation.run`."""
     return _GLOBAL_CACHE
 
 

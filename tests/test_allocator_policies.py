@@ -13,7 +13,7 @@ Three layers of pinning:
   ``address-map``;
 * the committed allocator-grid golden (2 archs x 3 policies over the
   heap-flavoured S5 subset) and determinism properties: serial ==
-  ``--jobs 4`` and stable across all three evaluators, with the bump
+  ``--jobs 4`` and stable across both evaluators, with the bump
   grid byte-identical to the pre-policy S5 compliance golden.
 """
 
@@ -25,7 +25,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.capability.morello import MORELLO
-from repro.core.coreeval import default_evaluator, set_default_evaluator
 from repro.errors import MemoryModelError, OutcomeKind
 from repro.fuzz import run_fuzz
 from repro.fuzz.oracle import (
@@ -46,14 +45,6 @@ from repro.testsuite.suite import all_cases
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-
-@pytest.fixture(autouse=True)
-def _restore_default_evaluator():
-    # run_fuzz(evaluator=...) installs its choice as the process
-    # default; put it back so later modules see the real default.
-    before = default_evaluator()
-    yield
-    set_default_evaluator(before)
 
 # The same-size reuse probe (also a guided-fuzz template): exit status
 # 1 iff the allocator returned the freed address for the next
@@ -270,7 +261,7 @@ def test_policy_campaign_serial_equals_parallel():
     assert policy_campaign(jobs=1) == policy_campaign(jobs=4)
 
 
-@pytest.mark.parametrize("evaluator", ["ast", "core"])
+@pytest.mark.parametrize("evaluator", ["core"])
 def test_policy_campaign_stable_across_evaluators(evaluator):
     assert policy_campaign(jobs=1, evaluator="compiled") \
         == policy_campaign(jobs=1, evaluator=evaluator)

@@ -1,7 +1,7 @@
 """The direct-threaded compiled backend (``repro.core.compile``).
 
 What justifies making closure dispatch the process default is pinned
-here, alongside the three-way differential harness and the engine
+here, alongside the core-vs-compiled differential harness and the engine
 benchmark's identity checks:
 
 * **Observable identity** -- outcomes, step counts, budget cut-offs,

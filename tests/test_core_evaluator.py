@@ -7,18 +7,19 @@ Four properties are defended here:
   a structured ``resource_exhausted`` under the semantics' own frame
   limit, serially and through the worker pool, without the host
   recursion limit ever being consulted or adjusted (the
-  ``sys.setrecursionlimit`` dance is gone from :mod:`repro.core.interp`
-  and must not return).
+  ``sys.setrecursionlimit`` dance must not return to the evaluator).
 * **Evaluation order** -- sequence points, short-circuiting, the
   conditional operator, and (defined-order) side-effect interleavings
-  behave identically under the AST walker and the Core evaluator, down
-  to stdout and the metered step count.
+  give the expected results under the Core evaluator and identical ones
+  under the compiled backend, down to stdout and the metered step
+  count.
 * **Deterministic elaboration** -- elaborating the same program twice
   yields the same op listing, and the Appendix-A intptr bitops program
   elaborates to a golden listing surfaced by ``repro run --dump-core``.
 * **No signal-exception control flow** -- the Core evaluator performs
-  break/continue as jumps and return as a frame pop; the walker's
-  signal exceptions must not appear in its execution path.
+  break/continue as jumps and return as a frame pop; no
+  return/break/continue signal exception appears in its execution
+  path.
 """
 
 from __future__ import annotations
@@ -26,13 +27,17 @@ from __future__ import annotations
 import pathlib
 import sys
 
+import pytest
+
 from repro.core import (
     CoreEvaluator, default_evaluator, elaborate_program, render_core,
 )
-from repro.core.interp import CALL_DEPTH_LIMIT
+from repro.core.coreeval import EVALUATORS
+from repro.core.semantics import CALL_DEPTH_LIMIT
 from repro.errors import OutcomeKind
+from repro.fuzz import run_campaign, run_fuzz
 from repro.impls import CERBERUS, by_name
-from repro.perf import compile_core, compile_program
+from repro.perf import compile_core, compile_program, compile_threaded
 from repro.robust import Budget
 from repro.testsuite.case import Expected, TestCase
 from repro.testsuite.categories import Category
@@ -51,14 +56,15 @@ int main(void) { return f(100000); }
 
 def both(source: str, **kwargs):
     """One program under both evaluators; callers assert agreement."""
-    return (CERBERUS.run(source, evaluator="ast", **kwargs),
-            CERBERUS.run(source, evaluator="core", **kwargs))
+    return (CERBERUS.run(source, evaluator="core", **kwargs),
+            CERBERUS.run(source, evaluator="compiled", **kwargs))
 
 
 class TestIterativeExecution:
     def test_compiled_is_the_default_evaluator(self):
         # The direct-threaded compiled backend took the default over
-        # from the Core evaluator; both oracles stay selectable.
+        # from the Core evaluator, which stays selectable as the
+        # reference.
         assert default_evaluator() == "compiled"
 
     def test_deep_call_chain_is_structured_resource_exhausted(self):
@@ -85,20 +91,24 @@ class TestIterativeExecution:
         assert serial.results[0].outcome == pooled.results[0].outcome
         assert serial.results[0].outcome.limit == "call-depth"
 
+    def test_core_evaluator_is_the_base_evaluator(self):
+        # The reference semantics stands alone; only the compiled
+        # backend builds on it.
+        assert CoreEvaluator.__bases__ == (object,)
+
     def test_recursionlimit_dance_has_not_returned(self):
         src = pathlib.Path("src/repro/core")
-        for module in ("interp.py", "coreeval.py", "coreir.py",
-                       "elaborate.py"):
+        for module in ("semantics.py", "coreeval.py", "coreir.py",
+                       "elaborate.py", "compile.py"):
             assert "setrecursionlimit" not in \
                 (src / module).read_text(encoding="utf-8")
 
     def test_no_signal_exception_control_flow_in_core(self):
-        # Return is a frame pop, break/continue are jumps: the walker's
-        # signal exceptions must not appear in the Core execution path.
-        # (elaborate.py may *name* them, but only to reproduce the
-        # walker's crash behaviour for break/continue outside a loop.)
+        # Return is a frame pop, break/continue are jumps: no signal
+        # exception may appear in the Core execution path.
         src = pathlib.Path("src/repro/core")
-        for module in ("coreeval.py", "coreir.py"):
+        for module in ("semantics.py", "coreeval.py", "coreir.py",
+                       "compile.py"):
             for line in (src / module).read_text(
                     encoding="utf-8").splitlines():
                 if any(s in line for s in ("ReturnSignal", "BreakSignal",
@@ -110,11 +120,54 @@ class TestIterativeExecution:
                         (module, line)
 
 
+class TestEvaluatorSelection:
+    """``core`` and ``compiled`` are the only evaluators; a request for
+    any other name fails loudly, and the fuzz entry points never leave
+    their choice behind as the process default."""
+
+    PROGRAM = "int main(void) { return 3; }"
+
+    @pytest.mark.parametrize("name", ["ast", "compild", ""])
+    def test_unknown_evaluator_raises(self, name):
+        with pytest.raises(ValueError, match="unknown evaluator"):
+            CERBERUS.run(self.PROGRAM, evaluator=name)
+        program = compile_core(CERBERUS, self.PROGRAM)
+        with pytest.raises(ValueError, match="unknown evaluator"):
+            CERBERUS.run_compiled(program, evaluator=name)
+
+    def test_run_compiled_accepts_either_representation(self):
+        core = compile_core(CERBERUS, self.PROGRAM)
+        threaded = compile_threaded(CERBERUS, self.PROGRAM)
+        for program in (core, threaded):
+            for evaluator in EVALUATORS:
+                outcome = CERBERUS.run_compiled(program,
+                                                evaluator=evaluator)
+                assert outcome.exit_status == 3
+
+    def test_cli_rejects_the_removed_walker(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["suite", "--evaluator", "ast"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_run_fuzz_restores_the_callers_default(self):
+        before = default_evaluator()
+        run_fuzz(seed=0, iterations=1, evaluator="core")
+        assert default_evaluator() == before
+
+    def test_run_campaign_restores_the_callers_default(self, tmp_path):
+        before = default_evaluator()
+        run_campaign(seed=0, iterations=1, corpus_dir=tmp_path,
+                     evaluator="core", classify=False)
+        assert default_evaluator() == before
+
+
 class TestEvaluationOrder:
     def assert_agree(self, source: str, exit_status: int,
                      stdout: str | None = None):
-        ast, core = both(source)
-        assert ast == core
+        core, compiled = both(source)
+        assert core == compiled
         assert core.kind is OutcomeKind.EXIT
         assert core.exit_status == exit_status
         if stdout is not None:
@@ -159,10 +212,10 @@ int main(void) { return 1 ? pick(3) : pick(4); }
     def test_unsequenced_side_effects_are_deterministic(self):
         # The subset fixes left-to-right operand evaluation; both
         # evaluators must make the same (single) choice.
-        ast, core = both(
+        core, compiled = both(
             "int main(void) { int i = 1;"
             " int r = (i = 2) + i; return r; }")
-        assert ast == core
+        assert core == compiled
         assert core.kind is OutcomeKind.EXIT
 
     def test_call_arguments_left_to_right(self):
@@ -174,8 +227,8 @@ int main(void) { return f(note(1), note(2), note(3)); }
 """, 6, stdout="123")
 
     def test_step_counts_match_across_evaluators(self):
-        # The charge-matching discipline: budgets metered on Core steps
-        # cut off at exactly the walker's step number.
+        # The charge-matching discipline: the compiled backend's fused
+        # closures cut a budget off at exactly the Core step number.
         source = """
 int main(void) {
   int total = 0;
@@ -185,8 +238,9 @@ int main(void) {
 }
 """
         for max_steps in (50, 137, 1000):
-            ast, core = both(source, budget=Budget(max_steps=max_steps))
-            assert ast == core, max_steps
+            core, compiled = both(source,
+                                  budget=Budget(max_steps=max_steps))
+            assert core == compiled, max_steps
 
 
 class TestElaborationDeterminism:

@@ -3,6 +3,7 @@ conversion edges the happy-path tests never hit."""
 
 import pytest
 
+from repro.core.coreeval import EVALUATORS
 from repro.errors import OutcomeKind
 from repro.impls import CERBERUS
 from tests.conftest import run_abstract
@@ -81,7 +82,7 @@ int main(void){
 }
 
 
-@pytest.mark.parametrize("evaluator", ("ast", "core", "compiled"))
+@pytest.mark.parametrize("evaluator", EVALUATORS)
 @pytest.mark.parametrize("program", sorted(JUMP_WITHOUT_TARGET))
 def test_jump_without_target_is_a_frontend_error(program, evaluator):
     out = CERBERUS.run(JUMP_WITHOUT_TARGET[program], use_cache=False,

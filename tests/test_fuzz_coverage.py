@@ -13,7 +13,9 @@ import pathlib
 
 import pytest
 
-from repro.core.coreeval import default_evaluator, set_default_evaluator
+from repro.core.coreeval import (
+    EVALUATORS, default_evaluator, set_default_evaluator,
+)
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.coverage import (
     Coverage,
@@ -92,26 +94,22 @@ def test_coverage_probe_is_evaluator_independent():
     leak into the signal."""
     program = program_for(1, 3)
     probes = []
-    for evaluator in ("ast", "core", "compiled"):
+    for evaluator in EVALUATORS:
         set_default_evaluator(evaluator)
         probes.append(coverage_of(program))
-    assert probes[0].coverage == probes[1].coverage == probes[2].coverage
-    assert probes[0].signature == probes[1].signature == probes[2].signature
+    assert probes[0].coverage == probes[1].coverage
+    assert probes[0].signature == probes[1].signature
 
 
 @pytest.fixture(scope="module")
 def baseline_tree(tmp_path_factory) -> dict[str, bytes]:
     directory = tmp_path_factory.mktemp("campaign-baseline")
-    before = default_evaluator()
-    try:
-        run_campaign(seed=11, iterations=6, corpus_dir=directory,
-                     evaluator="core", jobs=1)
-    finally:
-        set_default_evaluator(before)
+    run_campaign(seed=11, iterations=6, corpus_dir=directory,
+                 evaluator="core", jobs=1)
     return _tree(directory)
 
 
-@pytest.mark.parametrize("evaluator", ["ast", "core", "compiled"])
+@pytest.mark.parametrize("evaluator", EVALUATORS)
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_campaign_coverage_identical_across_evaluator_and_jobs(
         tmp_path, baseline_tree, evaluator, jobs):

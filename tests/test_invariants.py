@@ -5,8 +5,7 @@ program (checked after each mutating memory-model operation)."""
 import pytest
 
 from repro.capability import MORELLO
-from repro.core.cparser import parse_program
-from repro.core.interp import Interpreter
+from repro.core import run_program
 from repro.errors import MemoryModelError, OutcomeKind
 from repro.impls.registry import CERBERUS_MAP
 from repro.memory.invariants import CheckedMemoryModel, check_invariants
@@ -18,8 +17,7 @@ CASES = all_cases()
 
 def run_checked(source: str):
     model = CheckedMemoryModel(MORELLO, Mode.ABSTRACT, CERBERUS_MAP)
-    program = parse_program(source, model.layout)
-    return Interpreter(program, model).run()
+    return run_program(source, model)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])

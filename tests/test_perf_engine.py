@@ -22,7 +22,7 @@ from repro.impls.registry import (
     CERBERUS_PERMISSIVE,
 )
 from repro.obs.metrics import Metrics
-from repro.perf.cache import CompileCache, compile_program
+from repro.perf.cache import CompileCache, compile_core, compile_program
 from repro.perf.pool import parallel_map, resolve_jobs
 from repro.reporting.tables import render_compliance
 from repro.testsuite.compare import compare_implementations, run_suite
@@ -346,7 +346,7 @@ class TestBenchGateSkipReason:
 
 class TestCompileRunSplit:
     def test_run_compiled_reusable_across_runs(self):
-        program = CERBERUS.compile(SOURCE)
+        program = compile_core(CERBERUS, SOURCE)
         first = CERBERUS.run_compiled(program)
         second = CERBERUS.run_compiled(program)
         assert first == second

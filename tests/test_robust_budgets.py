@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.capability import MORELLO
-from repro.core.interp import CALL_DEPTH_LIMIT, run_program
+from repro.core import run_program
+from repro.core.semantics import CALL_DEPTH_LIMIT
 from repro.errors import Outcome, OutcomeKind, ResourceExhausted
 from repro.fuzz.driver import program_for
 from repro.impls import CERBERUS
